@@ -1,7 +1,9 @@
 """Command-line surface: compute, verify and export the coefficient data.
 
-Exit codes: 0 success / verified, 1 mathematical disagreement, 2 I/O
-failure, 3 resource-cap refusal.  All data output is deterministic -- no
+Exit codes: 0 success / verified, 1 mathematical disagreement, 2 I/O or
+usage failure, 3 resource-cap refusal, 4 internal error (any other
+exception, reported on stderr without a traceback), so exit 1 never means
+a crash.  All data output is deterministic -- no
 timestamps, full-precision decimal integers -- so identical invocations
 produce byte-identical files.
 """
@@ -307,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -8,7 +8,7 @@ fast path on purpose.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 def divisors(n: int) -> list[int]:
@@ -40,11 +40,15 @@ def sigma(n: int) -> int:
     return total
 
 
-def divisor_weight(d: int) -> int:
-    """sum(a * sigma(a) for a | d) -- the numerator of the log coefficient."""
+def divisor_weight(d: int, sigma_fn: Callable[[int], int] = sigma) -> int:
+    """sum(a * sigma(a) for a | d) -- the numerator of the log coefficient.
+
+    `sigma_fn` stands in for `sigma`, so a caller holding a (possibly
+    corrupted) sigma table gets the weight of that table.
+    """
     if d < 1:
         raise ValueError(f"divisor_weight requires d >= 1, got {d}")
-    return sum(a * sigma(a) for a in divisors(d))
+    return sum(a * sigma_fn(a) for a in divisors(d))
 
 
 def log_coefficient(d: int) -> Fraction:

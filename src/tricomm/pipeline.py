@@ -12,10 +12,10 @@ job is to report, including on deliberately corrupted inputs.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import numtheory, series
+from .errors import CapExceeded
 from .partitions import enumerate_partitions
 from .permgroup import DEFAULT_CENT_CAP, triples_centralizer
 from .wreath import k_wreath, k_wreath_series
@@ -41,34 +41,24 @@ def coeffs_classes(order: int) -> series.IntSeries:
     """Route B (canonical form): per-coefficient sum over cycle types.
 
     Coefficient n is sum over partitions of n of prod(k_wreath(t, m_t)).
-    The sum is evaluated by recursion on the largest allowed part with
-    memoization; `class_count_by_types` is the same sum with every
-    partition spelled out, kept as a slow cross-check.
+    The sum is built bottom-up, one part size t at a time: after part t,
+    w[n] sums over partitions of n with parts <= t, and adding m parts of
+    size t multiplies by k_wreath(t, m).  Scanning n downward lets w[n - m*t]
+    still hold its value from before part t, so one array serves the whole
+    sweep.  `class_count_by_types` is the same sum with every partition
+    spelled out, kept as a slow cross-check.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    rows = {t: k_wreath_series(t, order // t) for t in range(1, order + 1)}
-    memo: dict[tuple[int, int], int] = {}
-
-    def weight(n: int, max_part: int) -> int:
-        # sum over partitions of n with parts <= max_part of the product of
-        # per-part class counts
-        if n == 0:
-            return 1
-        if max_part == 0:
-            return 0
-        key = (n, max_part)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        row = rows[max_part]
-        total = 0
-        for m in range(n // max_part + 1):
-            total += row[m] * weight(n - m * max_part, max_part - 1)
-        memo[key] = total
-        return total
-
-    return series.IntSeries(tuple(weight(n, n) for n in range(order + 1)))
+    w = [1] + [0] * order
+    for t in range(1, order + 1):
+        row = k_wreath_series(t, order // t).coeffs
+        for n in range(order, t - 1, -1):
+            total = 0
+            for m in range(1, n // t + 1):
+                total += row[m] * w[n - m * t]
+            w[n] += total
+    return series.IntSeries(tuple(w))
 
 
 def class_count_by_types(n: int) -> int:
@@ -105,6 +95,9 @@ def coeffs_brute(n_max: int, *, cap: int = DEFAULT_CENT_CAP) -> list[int]:
     """Route C: triple counts divided (exactly) by n!, for n = 0..n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > cap:
+        # Checked up front, so a refusal costs no degree's work.
+        raise CapExceeded(f"centralizer triple count in S_{n_max}", "centralizer cap", cap)
     out = []
     for n in range(n_max + 1):
         triples = triples_centralizer(n, cap=cap)
@@ -157,9 +150,9 @@ def verify_identity(
         raise ValueError(
             f"need order >= brute_max >= 0, got order={order}, brute_max={brute_max}"
         )
+    c = coeffs_brute(brute_max, cap=cap)
     a = coeffs_product(order, sigma_fn=sigma_fn)
     b = coeffs_classes(order)
-    c = coeffs_brute(brute_max, cap=cap)
     agreements = tuple(
         a[i] == b[i] and (i > brute_max or a[i] == c[i]) for i in range(order + 1)
     )
@@ -183,17 +176,21 @@ class LogReport:
 def verify_log(
     order: int, *, sigma_fn: Callable[[int], int] = numtheory.sigma
 ) -> LogReport:
-    """Compare the formal log of route A against the divisor formula.
+    """Check route A against the divisor formula for its formal log.
 
-    The u^d coefficient of log(route A) must equal
-    sum(a*sigma(a) for a | d) / d, as an exact rational, for d = 1..order.
+    The u^d coefficient of log(route A) must equal b_d / d with
+    b_d = sum(a*sigma(a) for a | d), for d = 1..order.  Since route A has
+    constant term 1, that holds exactly when the log-derivative recurrence
+    n*a_n = sum(b_k * a_(n-k) for k = 1..n) holds for n = 1..order, in
+    integers; the first n where it fails is the first log mismatch.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    logged = series.log(coeffs_product(order, sigma_fn=sigma_fn), order)
-    for d in range(1, order + 1):
-        if logged[d] != Fraction(sum(a * sigma_fn(a) for a in numtheory.divisors(d)), d):
-            return LogReport(order=order, ok=False, first_mismatch=d)
+    a = coeffs_product(order, sigma_fn=sigma_fn).coeffs
+    b = [0] + [numtheory.divisor_weight(k, sigma_fn) for k in range(1, order + 1)]
+    for n in range(1, order + 1):
+        if n * a[n] != sum(b[k] * a[n - k] for k in range(1, n + 1)):
+            return LogReport(order=order, ok=False, first_mismatch=n)
     return LogReport(order=order, ok=True, first_mismatch=None)
 
 

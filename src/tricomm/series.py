@@ -79,17 +79,33 @@ def one(order: int) -> IntSeries:
 
 
 def mul(f: IntSeries, g: IntSeries, order: int) -> IntSeries:
-    """Cauchy product truncated at `order`.  Plain O(N^2) convolution."""
+    """Cauchy product truncated at `order`, over nonzero terms only.
+
+    The operand with fewer nonzero terms drives the outer loop; the inner
+    loop walks the other operand's nonzero terms and stops once the index
+    passes `order`.  A factor (1 - u^j)^(-s) has order//j + 1 nonzero terms,
+    so a product of such factors over j = 1..N costs O(N^2 log N); a dense
+    by dense product costs O(N^2).
+    """
     _require_order(f, order)
     _require_order(g, order)
-    fc, gc = f.coeffs, g.coeffs
+    outer = _nonzero_terms(f, order)
+    inner = _nonzero_terms(g, order)
+    if len(outer) > len(inner):
+        outer, inner = inner, outer
     out = [0] * (order + 1)
-    for i in range(order + 1):
-        a = fc[i]
-        if a:
-            for j in range(order + 1 - i):
-                out[i + j] += a * gc[j]
+    for i, a in outer:
+        limit = order - i
+        for j, b in inner:
+            if j > limit:
+                break
+            out[i + j] += a * b
     return IntSeries(tuple(out))
+
+
+def _nonzero_terms(f: IntSeries, order: int) -> list[tuple[int, int]]:
+    """(index, coefficient) pairs of the nonzero terms up to `order`, ascending."""
+    return [(k, c) for k, c in enumerate(f.coeffs[: order + 1]) if c]
 
 
 def neg_binomial_factor(j: int, s: int, order: int) -> IntSeries:

@@ -92,6 +92,27 @@ def test_brute_above_cap_refused(capsys):
     assert "cap" in err
 
 
+def test_classes_order_1000_exits_cleanly(capsys):
+    code, out, err = run(capsys, "classes", "-N", "1000")
+    assert code == 0
+    assert err == ""
+    assert out.count("\n") == 1001 and out.startswith("0 1\n1 1\n2 4\n")
+
+
+def test_unexpected_exception_is_internal_error_not_disagreement(monkeypatch, capsys):
+    from tricomm import pipeline
+
+    def broken(order):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(pipeline, "coeffs_classes", broken)
+    code, out, err = run(capsys, "classes", "-N", "5")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: simulated fault\n"
+    assert "Traceback" not in err
+
+
 def test_wreath_brute_match(capsys):
     code, out, _ = run(capsys, "wreath", "2", "2", "--brute")
     assert code == 0

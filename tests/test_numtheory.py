@@ -102,3 +102,13 @@ def test_bound_check_lhs_matches_direct_formula():
 def test_bound_check_rejects_zero():
     with pytest.raises(ValueError):
         numtheory.bound_check(0)
+
+
+def test_divisor_weight_takes_a_sigma_table():
+    assert numtheory.divisor_weight(6) == 1 * 1 + 2 * 3 + 3 * 4 + 6 * 12
+    def shifted(n):
+        return numtheory.sigma(n) + (1 if n == 3 else 0)
+
+    # the weight moves by 3 * 1 at d = 6, which 3 divides, and not at d = 4
+    assert numtheory.divisor_weight(6, shifted) == numtheory.divisor_weight(6) + 3
+    assert numtheory.divisor_weight(4, shifted) == numtheory.divisor_weight(4)

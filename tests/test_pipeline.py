@@ -50,6 +50,17 @@ def test_coeffs_brute_cap():
         pipeline.coeffs_brute(9)
 
 
+def test_coeffs_brute_refuses_before_any_degree(monkeypatch):
+    def must_not_run(n, cap):
+        raise AssertionError(f"degree {n} computed before the cap refusal")
+
+    monkeypatch.setattr(pipeline, "triples_centralizer", must_not_run)
+    with pytest.raises(CapExceeded, match="centralizer cap=4"):
+        pipeline.coeffs_brute(5, cap=4)
+    with pytest.raises(CapExceeded, match="centralizer cap"):
+        pipeline.verify_identity(9, 9)
+
+
 def test_coeffs_brute_flags_inexact_division(monkeypatch):
     from tricomm import pipeline as pl
 
@@ -103,6 +114,37 @@ def test_verify_log_detects_corruption_against_true_table():
         d for d in range(1, 9) if logged[d] != numtheory.log_coefficient(d)
     ]
     assert bad and bad[0] == 3
+
+
+@pytest.mark.parametrize("index", [1, 2, 7, 12])
+def test_verify_log_names_a_perturbed_route_a_coefficient(monkeypatch, index):
+    honest = pipeline.coeffs_product
+
+    def perturbed(order, **kwargs):
+        coeffs = list(honest(order, **kwargs).coeffs)
+        coeffs[index] += 1
+        return series.IntSeries(tuple(coeffs))
+
+    monkeypatch.setattr(pipeline, "coeffs_product", perturbed)
+    report = pipeline.verify_log(12)
+    assert not report.ok
+    assert report.first_mismatch == index
+
+
+def test_verify_log_first_mismatch_is_first_log_mismatch(monkeypatch):
+    # Against the Fraction log: the integer recurrence fails first exactly
+    # where the formal log first leaves the divisor formula.
+    bad = series.IntSeries((1, 1, 4, 9, 21, 0, 3))
+    monkeypatch.setattr(pipeline, "coeffs_product", lambda order, **kwargs: bad)
+    logged = series.log(bad, 6)
+    first = next(d for d in range(1, 7) if logged[d] != numtheory.log_coefficient(d))
+    assert pipeline.verify_log(6).first_mismatch == first == 3
+
+
+def test_coeffs_classes_order_1000_has_no_recursion_limit():
+    # Order 1000 is past the default recursion limit, so route B must not
+    # recurse once per order.
+    assert pipeline.coeffs_classes(1000) == pipeline.coeffs_product(1000)
 
 
 def test_growth_report_examples():

@@ -69,6 +69,83 @@ def test_mul_associative(data):
     assert left == right
 
 
+def naive_convolution(f: IntSeries, g: IntSeries, order: int) -> tuple[int, ...]:
+    """Reference Cauchy product: every index pair, zeros included."""
+    return tuple(
+        sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(order + 1)
+    )
+
+
+def sparse_series(draw, order: int) -> IntSeries:
+    """A series of the given order whose coefficients are mostly zero."""
+    coeffs = [0] * (order + 1)
+    for k in draw(st.sets(st.integers(0, order), max_size=max(1, order // 4))):
+        coeffs[k] = draw(st.integers(-9, 9))
+    return IntSeries(tuple(coeffs))
+
+
+@given(same_order_series(count=2))
+def test_mul_dense_by_dense_matches_naive(data):
+    (f, g), order = data
+    assert series.mul(f, g, order).coeffs == naive_convolution(f, g, order)
+
+
+@given(st.data(), st.integers(0, 30))
+def test_mul_sparse_by_dense_matches_naive_both_ways(data, order):
+    sparse = sparse_series(data.draw, order)
+    dense = IntSeries(
+        tuple(data.draw(st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1)))
+    )
+    expected = naive_convolution(sparse, dense, order)
+    assert series.mul(sparse, dense, order).coeffs == expected
+    assert series.mul(dense, sparse, order).coeffs == expected
+
+
+@given(st.data(), st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
+def test_mul_truncates_operands_of_higher_order(data, order, extra_f, extra_g):
+    f = sparse_series(data.draw, order + extra_f)
+    g = IntSeries(
+        tuple(data.draw(st.lists(st.integers(-9, 9), min_size=order + extra_g + 1,
+                                 max_size=order + extra_g + 1)))
+    )
+    product = series.mul(f, g, order)
+    assert product.order == order
+    assert product.coeffs == naive_convolution(f, g, order)
+    assert product == series.mul(f.truncate(order), g.truncate(order), order)
+
+
+def test_mul_zero_tails_and_one():
+    order = 9
+    poly = IntSeries((3, -2) + (0,) * order)
+    dense = IntSeries(tuple(range(1, order + 2)))
+    assert series.mul(poly, dense, order).coeffs == naive_convolution(poly, dense, order)
+    zero = IntSeries((0,) * (order + 1))
+    assert series.mul(zero, dense, order) == zero
+    assert series.mul(dense, zero, order) == zero
+    assert series.mul(series.one(order), dense, order) == dense
+    assert series.mul(dense, series.one(order + 3), order) == dense
+    assert series.mul(series.one(order), series.one(order), order) == series.one(order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 24])
+def test_mul_of_neg_binomial_factors_matches_naive(order):
+    factors = [series.neg_binomial_factor(j, s, order) for j, s in [(1, 3), (2, 1), (3, 4), (5, 2)]]
+    product = series.one(order)
+    for factor in factors:
+        expected = naive_convolution(product, factor, order)
+        product = series.mul(product, factor, order)
+        assert product.coeffs == expected
+    a, b = factors[1], factors[2]
+    assert series.mul(a, b, order).coeffs == naive_convolution(a, b, order)
+
+
+@given(st.data(), st.integers(0, 30))
+def test_mul_commutative_on_sparse_operands(data, order):
+    f = sparse_series(data.draw, order)
+    g = sparse_series(data.draw, order)
+    assert series.mul(f, g, order) == series.mul(g, f, order)
+
+
 def test_neg_binomial_examples():
     assert series.neg_binomial_factor(1, 1, 4).coeffs == (1, 1, 1, 1, 1)
     assert series.neg_binomial_factor(2, 3, 4).coeffs == (1, 0, 3, 0, 6)

@@ -169,11 +169,10 @@ def _cmd_verify(args) -> int:
         print(f"wreath conjugacy structure: ok on {len(VERIFY_WREATH_FAMILY)} wreath groups")
 
     naive_max = min(args.brute_max, args.naive_cap)
-    scaled = pipeline.coeffs_brute(naive_max, cap=args.cent_cap)
     naive_bad = [
         n
         for n in range(naive_max + 1)
-        if triples_naive(n, cap=args.naive_cap) != scaled[n] * math.factorial(n)
+        if triples_naive(n, cap=args.naive_cap) != report.brute[n] * math.factorial(n)
     ]
     if naive_bad:
         print(f"naive triple count: FAILED at n = {naive_bad[0]}")
@@ -214,6 +213,15 @@ def _cmd_growth(args) -> int:
     return _emit("".join(line + "\n" for line in lines), args.out)
 
 
+def cap(text: str) -> int:
+    """argparse type of the cap flags: refused below 0 before any work.
+    Named for argparse's "invalid cap value" message on a non-integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be >= 0, got {value}")
+    return value
+
+
 def _add_output_flags(sub) -> None:
     sub.add_argument(
         "--format",
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     brute = commands.add_parser("brute", help="route C: brute-force triple counts / n!")
     brute.add_argument("-N", "--order", type=int, required=True)
-    brute.add_argument("--cent-cap", type=int, default=DEFAULT_CENT_CAP)
+    brute.add_argument("--cent-cap", type=cap, default=DEFAULT_CENT_CAP)
     _add_output_flags(brute)
     brute.set_defaults(func=_cmd_brute)
 
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also enumerate the group and count classes by conjugation orbits",
     )
-    wreath_cmd.add_argument("--wreath-cap", type=int, default=DEFAULT_TABLE_CAP)
+    wreath_cmd.add_argument("--wreath-cap", type=cap, default=DEFAULT_TABLE_CAP)
     wreath_cmd.set_defaults(func=_cmd_wreath)
 
     verify = commands.add_parser(
@@ -272,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("-N", "--order", type=int, required=True)
     verify.add_argument("-K", "--brute-max", type=int, required=True)
-    verify.add_argument("--naive-cap", type=int, default=DEFAULT_NAIVE_CAP)
-    verify.add_argument("--cent-cap", type=int, default=DEFAULT_CENT_CAP)
+    verify.add_argument("--naive-cap", type=cap, default=DEFAULT_NAIVE_CAP)
+    verify.add_argument("--cent-cap", type=cap, default=DEFAULT_CENT_CAP)
     verify.add_argument("--corrupt-sigma", type=int, default=None, help=argparse.SUPPRESS)
     verify.set_defaults(func=_cmd_verify)
 

@@ -26,6 +26,7 @@ DEFAULT_CENT_CAP = 8
 
 # Below this order the commuting-pair counter uses the plain double loop;
 # above it, the count is grouped over conjugacy classes (see commuting_pairs).
+# The loop stays so `verify`'s pair identity on small groups never uses orbits.
 DIRECT_PAIR_LIMIT = 500
 
 
@@ -75,8 +76,8 @@ class GroupTable:
     `elements` is a deterministic tuple of hashable values closed under the
     operation; `mul`/`inv` implement the group law; `commutes` is an
     optional short-circuit predicate equivalent to mul(x,y) == mul(y,x);
-    `generators`, when given, must generate the group and let conjugacy
-    orbits be computed by breadth-first closure instead of full sweeps.
+    `generators` must generate the group; conjugacy orbits are closed under
+    them, so only a table of order 1 may go without.
     """
 
     def __init__(
@@ -90,6 +91,8 @@ class GroupTable:
         commutes: Callable | None = None,
     ):
         self.elements = tuple(elements)
+        if len(self.elements) > 1 and not generators:
+            raise ValueError(f"{name or 'table'} of order > 1 has no generators")
         self.mul = mul
         self.inv = inv
         self.identity = identity
@@ -104,9 +107,6 @@ class GroupTable:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __contains__(self, elem) -> bool:
         return elem in self.index
 
@@ -115,16 +115,6 @@ class GroupTable:
         if self._index is None:
             self._index = {g: i for i, g in enumerate(self.elements)}
         return self._index
-
-    def subgroup(self, elements, name: str) -> "GroupTable":
-        return GroupTable(
-            elements=tuple(elements),
-            mul=self.mul,
-            inv=self.inv,
-            identity=self.identity,
-            name=name,
-            commutes=self.commutes,
-        )
 
 
 def symmetric_generators(n: int) -> tuple[Perm, ...]:
@@ -154,19 +144,49 @@ def enumerate_symmetric(n: int, *, cap: int = DEFAULT_CENT_CAP) -> GroupTable:
     )
 
 
-def centralizer(g, table: GroupTable) -> GroupTable:
-    """Sub-table of everything in `table` commuting with g."""
-    if g not in table:
-        raise ValueError(f"element {g!r} is not in {table.name or 'the table'}")
-    commutes = table.commutes
-    members = tuple(h for h in table.elements if commutes(g, h))
+def centralizer_generators(g: Perm) -> tuple[Perm, ...]:
+    """Generators of Cent(g) in S_n, one Z_t wr S_m per block of m cycles
+    c_0..c_(m-1) of length t: g on c_0 alone (when t > 1), and for each
+    generator s of S_m the map c_k[i] -> c_s(k)[i].  `perm_cycles` lists
+    every cycle in g's order, so these commute with g.
+    """
+    blocks: dict[int, list[list[int]]] = {}
+    for cycle in perm_cycles(g):
+        blocks.setdefault(len(cycle), []).append(cycle)
+    gens = []
+    for length, cycles in blocks.items():
+        if length > 1:
+            gens.append(tuple(g[i] if i in cycles[0] else i for i in range(len(g))))
+        for s in symmetric_generators(len(cycles)):
+            images = list(range(len(g)))
+            for k, cycle in enumerate(cycles):
+                for point, image in zip(cycle, cycles[s[k]]):
+                    images[point] = image
+            gens.append(tuple(images))
+    return tuple(gens)
+
+
+def centralizer(g: Perm) -> GroupTable:
+    """Cent(g) in S_n, listed as the closure of `centralizer_generators(g)`
+    under `compose`, in lexicographic order."""
+    gens = centralizer_generators(g)
+    ident = identity_perm(len(g))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = compose(s, x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
     return GroupTable(
-        elements=members,
-        mul=table.mul,
-        inv=table.inv,
-        identity=table.identity,
-        name=f"Cent({table.name})",
-        commutes=table.commutes,
+        elements=tuple(sorted(seen)),
+        mul=compose,
+        inv=inverse_perm,
+        identity=ident,
+        name=f"Cent({g})",
+        generators=gens,
     )
 
 
@@ -193,47 +213,34 @@ class ConjugacyClasses:
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     """Orbit partition of the table under conjugation.
 
-    With generators available the orbit of each element is closed under
-    conjugation by the generators only (same partition, far fewer products);
-    otherwise every element conjugates once per orbit.
+    The orbit of each element is closed under conjugation by the table's
+    generators only: the same partition as conjugating by every element,
+    with far fewer products.
     """
     elems = table.elements
-    n = len(elems)
     mul, inv = table.mul, table.inv
     index = table.index
-    assigned = [False] * n
+    conjugators = [(s, inv(s)) for s in table.generators]
+    assigned = [False] * len(elems)
     classes = []
     reps = []
-    if table.generators:
-        conjugators = [(s, inv(s)) for s in table.generators]
-        for i in range(n):
-            if assigned[i]:
-                continue
-            orbit = {i}
-            frontier = [elems[i]]
-            assigned[i] = True
-            while frontier:
-                g = frontier.pop()
-                for s, s_inv in conjugators:
-                    h = mul(mul(s, g), s_inv)
-                    j = index[h]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        orbit.add(j)
-                        frontier.append(h)
-            classes.append(tuple(sorted(orbit)))
-            reps.append(i)
-    else:
-        inverses = [inv(x) for x in elems]
-        for i in range(n):
-            if assigned[i]:
-                continue
-            g = elems[i]
-            orbit = {index[mul(mul(x, g), x_inv)] for x, x_inv in zip(elems, inverses)}
-            for j in orbit:
-                assigned[j] = True
-            classes.append(tuple(sorted(orbit)))
-            reps.append(i)
+    for i, g in enumerate(elems):
+        if assigned[i]:
+            continue
+        orbit = {i}
+        frontier = [g]
+        assigned[i] = True
+        while frontier:
+            x = frontier.pop()
+            for s, s_inv in conjugators:
+                h = mul(mul(s, x), s_inv)
+                j = index[h]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.add(j)
+                    frontier.append(h)
+        classes.append(tuple(sorted(orbit)))
+        reps.append(i)
     return ConjugacyClasses(classes=tuple(classes), representatives=tuple(reps))
 
 
@@ -309,20 +316,17 @@ def triples_centralizer(n: int, *, cap: int = DEFAULT_CENT_CAP) -> int:
     Triples whose first element is g are in bijection with commuting pairs
     of Cent(g), and that count is constant along the conjugacy class of g,
     so the total is sum over cycle types of
-    (class size) * commuting_pairs(Cent(representative)).
+    (class size) * commuting_pairs(centralizer(representative)).
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n > cap:
         raise CapExceeded(f"centralizer triple count in S_{n}", "centralizer cap", cap)
-    table = enumerate_symmetric(n, cap=cap)
     n_fact = factorial(n)
     total = 0
     for ct in enumerate_partitions(n):
-        rep = permutation_of_type(ct)
         class_size = n_fact // centralizer_order(ct)
-        cent = centralizer(rep, table)
-        total += class_size * commuting_pairs(cent)
+        total += class_size * commuting_pairs(centralizer(permutation_of_type(ct)))
     return total
 
 

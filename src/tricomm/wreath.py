@@ -28,7 +28,6 @@ from .permgroup import (
     GroupTable,
     commuting_pairs,
     conjugacy_classes,
-    ConjugacyClasses,
     identity_perm,
     inverse_perm,
     perm_cycles,
@@ -156,17 +155,6 @@ def enumerate_wreath(t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP) -> GroupTa
         generators=_wreath_generators(t, m),
         commutes=w_commutes,
     )
-
-
-def conjugacy_classes_brute(
-    t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP
-) -> ConjugacyClasses:
-    """Conjugacy classes of W(t, m) by orbit enumeration on the full table.
-
-    Exists to validate the invariant-based conjugacy test and the series
-    class count; never used to produce counts elsewhere.
-    """
-    return conjugacy_classes(enumerate_wreath(t, m, cap=cap))
 
 
 @lru_cache(maxsize=None)

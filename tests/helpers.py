@@ -2,6 +2,8 @@
 
 from math import factorial
 
+from tricomm.permgroup import ConjugacyClasses
+
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
 # order within the 5000-element budget already has t <= 9, and the m <= 1
 # rows are degenerate (trivial groups / abelian Z_t) for every larger t.
@@ -31,3 +33,26 @@ def commuting_pairs_double_loop(table) -> int:
             if table.mul(g, h) == table.mul(h, g):
                 total += 1
     return total
+
+
+def centralizer_by_filter(g, table) -> tuple:
+    """Reference centralizer: every element of `table` commuting with g,
+    in table order."""
+    return tuple(h for h in table.elements if table.mul(g, h) == table.mul(h, g))
+
+
+def conjugacy_classes_full_sweep(table):
+    """Reference orbit partition: each orbit conjugates its first element by
+    every element of the table; no generators."""
+    elems, mul, inv, index = table.elements, table.mul, table.inv, table.index
+    assigned = [False] * len(elems)
+    classes, reps = [], []
+    for i, g in enumerate(elems):
+        if assigned[i]:
+            continue
+        orbit = {index[mul(mul(x, g), inv(x))] for x in elems}
+        for j in orbit:
+            assigned[j] = True
+        classes.append(tuple(sorted(orbit)))
+        reps.append(i)
+    return ConjugacyClasses(classes=tuple(classes), representatives=tuple(reps))

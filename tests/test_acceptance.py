@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-come; the degree-8 brute anchor is opt-in via `pytest -m slow`.
+come; the degree-9 brute anchor is opt-in via `pytest -m slow`.
 """
 
 import time
@@ -62,14 +62,24 @@ def test_criterion_02_brute_force_anchor_to_degree_7():
     )
 
 
-@pytest.mark.slow
 def test_criterion_02_slow_brute_force_anchor_degree_8():
     brute = pipeline.coeffs_brute(8)
     product = pipeline.coeffs_product(8)
     report(
         2,
-        "product anchored to triple counts, n = 8 (slow suite)",
+        "product anchored to triple counts, n = 8",
         list(product.coeffs) == brute,
+    )
+
+
+@pytest.mark.slow
+def test_criterion_02_slow_brute_force_anchor_degree_9():
+    brute = pipeline.coeffs_brute(9, cap=9)
+    product = pipeline.coeffs_product(9)
+    report(
+        2,
+        "product anchored to triple counts, n = 9 (slow suite)",
+        list(product.coeffs) == brute and brute[9] == 667,
     )
 
 

@@ -86,6 +86,24 @@ def test_verify_brute_max_above_cap_refused(capsys):
     assert "centralizer cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "-N", "3", "-K", "3", "--naive-cap", "-1"],
+        ["verify", "-N", "3", "-K", "3", "--cent-cap", "-1"],
+        ["brute", "-N", "3", "--cent-cap", "-1"],
+        ["wreath", "2", "2", "--brute", "--wreath-cap", "-1"],
+    ],
+)
+def test_negative_cap_is_a_usage_error_before_any_work(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "a cap must be >= 0, got -1" in captured.err
+
+
 def test_brute_above_cap_refused(capsys):
     code, _, err = run(capsys, "brute", "-N", "9")
     assert code == 3

@@ -3,7 +3,11 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import commuting_pairs_double_loop
+from helpers import (
+    centralizer_by_filter,
+    commuting_pairs_double_loop,
+    conjugacy_classes_full_sweep,
+)
 from tricomm.errors import CapExceeded
 from tricomm.partitions import (
     Partition,
@@ -12,6 +16,7 @@ from tricomm.partitions import (
     partition_count,
 )
 from tricomm.permgroup import (
+    GroupTable,
     centralizer,
     commuting_pairs,
     compose,
@@ -89,24 +94,35 @@ def test_cycle_type_is_conjugation_invariant(g, x):
 
 
 def test_centralizer_examples():
-    s4 = enumerate_symmetric(4)
-    assert len(centralizer(identity_perm(4), s4)) == 24
-    s3 = enumerate_symmetric(3)
-    assert len(centralizer((1, 0, 2), s3)) == 2
-    assert len(centralizer((1, 0, 3, 2), s4)) == 8
-
-
-def test_centralizer_requires_membership():
-    s3 = enumerate_symmetric(3)
-    with pytest.raises(ValueError):
-        centralizer((1, 0, 3, 2), s3)
+    assert len(centralizer(identity_perm(4))) == 24
+    assert len(centralizer((1, 0, 2))) == 2
+    assert len(centralizer((1, 0, 3, 2))) == 8
+    assert centralizer((1, 2, 0)).elements == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert centralizer(()).elements == ((),)
 
 
 def test_centralizer_order_matches_cycle_type_formula():
     for n in range(7):
         table = enumerate_symmetric(n)
         for g in table.elements:
-            assert len(centralizer(g, table)) == centralizer_order(cycle_type(g))
+            cent = centralizer(g)
+            assert cent.elements == centralizer_by_filter(g, table)
+            assert len(cent) == centralizer_order(cycle_type(g))
+
+
+def test_centralizer_of_identity_is_the_symmetric_table():
+    for n in range(8):
+        cent = centralizer(identity_perm(n))
+        table = enumerate_symmetric(n)
+        assert cent.elements == table.elements
+        assert cent.generators == table.generators
+
+
+def test_group_table_refuses_missing_generators():
+    with pytest.raises(ValueError, match="no generators"):
+        GroupTable(((0, 1), (1, 0)), compose, inverse_perm, (0, 1), name="S_2")
+    trivial = GroupTable(((0,),), compose, inverse_perm, (0,))
+    assert conjugacy_classes(trivial).num_classes == 1
 
 
 def test_conjugacy_classes_examples():
@@ -138,8 +154,8 @@ def test_class_count_equals_partition_count():
 def test_generator_bfs_matches_full_orbit_sweep():
     for n in range(6):
         table = enumerate_symmetric(n)
-        bare = table.subgroup(table.elements, table.name)  # drops generators
-        assert conjugacy_classes(table).classes == conjugacy_classes(bare).classes
+        for group in [table] + [centralizer(g) for g in table.elements]:
+            assert conjugacy_classes(group) == conjugacy_classes_full_sweep(group)
 
 
 def test_commuting_pairs_examples():

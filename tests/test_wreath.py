@@ -14,7 +14,6 @@ from tricomm.wreath import (
     WreathElement,
     class_label_of,
     class_structure_report,
-    conjugacy_classes_brute,
     conjugate_by_invariants,
     cycle_sum_invariants,
     enumerate_class_labels,
@@ -168,9 +167,9 @@ def test_wreath_of_single_point_is_cyclic():
 
 
 def test_conjugacy_classes_brute_examples():
-    assert conjugacy_classes_brute(2, 2).num_classes == 5
-    assert conjugacy_classes_brute(1, 4).num_classes == 5
-    assert conjugacy_classes_brute(4, 1).num_classes == 4
+    assert conjugacy_classes(enumerate_wreath(2, 2)).num_classes == 5
+    assert conjugacy_classes(enumerate_wreath(1, 4)).num_classes == 5
+    assert conjugacy_classes(enumerate_wreath(4, 1)).num_classes == 4
 
 
 def test_k_wreath_examples():

@@ -27,7 +27,7 @@ def main() -> None:
         for m in range(0, args.m_max + 1):
             if t**m * factorial(m) > args.cap:
                 continue
-            rep = class_structure_report(t, m)
+            rep = class_structure_report(t, m, cap=args.cap)
             verdict = "ok" if rep.ok else "MISMATCH"
             all_ok &= rep.ok
             print(

@@ -24,9 +24,10 @@ Perm = tuple[int, ...]
 DEFAULT_NAIVE_CAP = 5
 DEFAULT_CENT_CAP = 8
 
-# Below this order the commuting-pair counter uses the plain double loop;
-# above it, the count is grouped over conjugacy classes (see commuting_pairs).
-# The loop stays so `verify`'s pair identity on small groups never uses orbits.
+# Below this order `commuting_pairs` uses the plain double loop; above it
+# (wreath tables in `verify`'s pair identity), the count is grouped over
+# conjugacy classes.  The loop stays so the identity on small groups never
+# uses orbits.  Route C counts with `centralizer_pairs` instead.
 DIRECT_PAIR_LIMIT = 500
 
 
@@ -245,14 +246,15 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
 
 
 def commuting_pairs(table: GroupTable, *, direct_limit: int = DIRECT_PAIR_LIMIT) -> int:
-    """Number of ordered pairs (g, h) with g*h = h*g, counted by direct
-    commutation tests.
+    """Number of ordered pairs (g, h) with g*h = h*g in any listed group,
+    counted by direct commutation tests.
 
-    Small tables get the plain double loop.  Larger ones group the count
-    over conjugacy classes -- |Cent(g)| is constant along a class, so the
-    sum of centralizer sizes is (class size) * (directly counted centralizer
-    of one representative), summed over classes.  Both routes are exact and
-    agree (tested); neither consults the class-count identity being verified.
+    Small tables get the plain double loop.  Larger ones (wreath tables
+    above `direct_limit`) group the count over conjugacy classes --
+    |Cent(g)| is constant along a class, so the sum of centralizer sizes is
+    (class size) * (directly counted centralizer of one representative),
+    summed over classes.  Both routes are exact and agree (tested); neither
+    consults the class-count identity being verified.
     """
     elems = table.elements
     commutes = table.commutes
@@ -271,6 +273,31 @@ def commuting_pairs(table: GroupTable, *, direct_limit: int = DIRECT_PAIR_LIMIT)
         rep = elems[rep_idx]
         cent = sum(1 for h in elems if commutes(rep, h))
         total += len(cls) * cent
+    return total
+
+
+def centralizer_pairs(g: Perm) -> int:
+    """Number of ordered commuting pairs in Cent(g), g in S_n, counted by
+    direct commutation tests.
+
+    The pairs (r, h) for a fixed r number |Cent(g) & Cent(r)|, constant along
+    r's class in Cent(g).  For each class representative r, that
+    intersection is counted by listing the smaller of Cent(g) and Cent(r)
+    (both listed from generators) and testing each element against the
+    other of g and r.  `centralizer_order` only picks the side to list.
+    """
+    table = centralizer(g)
+    elems = table.elements
+    cc = conjugacy_classes(table)
+    total = 0
+    for cls, rep_idx in zip(cc.classes, cc.representatives):
+        r = elems[rep_idx]
+        if centralizer_order(cycle_type(r)) < len(elems):
+            side = centralizer(r)
+            count = sum(1 for h in side.elements if side.commutes(g, h))
+        else:
+            count = sum(1 for h in elems if table.commutes(r, h))
+        total += len(cls) * count
     return total
 
 
@@ -316,7 +343,7 @@ def triples_centralizer(n: int, *, cap: int = DEFAULT_CENT_CAP) -> int:
     Triples whose first element is g are in bijection with commuting pairs
     of Cent(g), and that count is constant along the conjugacy class of g,
     so the total is sum over cycle types of
-    (class size) * commuting_pairs(centralizer(representative)).
+    (class size) * centralizer_pairs(representative).
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -326,7 +353,7 @@ def triples_centralizer(n: int, *, cap: int = DEFAULT_CENT_CAP) -> int:
     total = 0
     for ct in enumerate_partitions(n):
         class_size = n_fact // centralizer_order(ct)
-        total += class_size * commuting_pairs(centralizer(permutation_of_type(ct)))
+        total += class_size * centralizer_pairs(permutation_of_type(ct))
     return total
 
 

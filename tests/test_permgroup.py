@@ -8,6 +8,7 @@ from helpers import (
     commuting_pairs_double_loop,
     conjugacy_classes_full_sweep,
 )
+from tricomm import permgroup
 from tricomm.errors import CapExceeded
 from tricomm.partitions import (
     Partition,
@@ -18,6 +19,7 @@ from tricomm.partitions import (
 from tricomm.permgroup import (
     GroupTable,
     centralizer,
+    centralizer_pairs,
     commuting_pairs,
     compose,
     conjugacy_classes,
@@ -172,6 +174,40 @@ def test_commuting_pairs_grouped_equals_direct():
         assert direct == grouped == commuting_pairs_double_loop(table)
 
 
+def test_centralizer_pairs_equals_double_loop():
+    for n in range(6):
+        for g in enumerate_symmetric(n).elements:
+            assert centralizer_pairs(g) == commuting_pairs_double_loop(centralizer(g))
+
+
+def test_centralizer_pairs_equals_commuting_pairs_on_every_cycle_type():
+    for n in range(8):
+        for ct in enumerate_partitions(n):
+            g = permutation_of_type(ct)
+            assert centralizer_pairs(g) == commuting_pairs(centralizer(g))
+
+
+def test_centralizer_pairs_uses_both_sides(monkeypatch):
+    # In S_4 with g = id, r = id sweeps Cent(g) itself; every other class
+    # representative, a transposition among them, lists its own smaller
+    # centralizer.
+    listed = []
+    honest = permgroup.centralizer
+
+    def recording(x):
+        listed.append(x)
+        return honest(x)
+
+    monkeypatch.setattr(permgroup, "centralizer", recording)
+    g = identity_perm(4)
+    assert centralizer_pairs(g) == 120
+    assert listed[0] == g
+    assert listed.count(g) == 1
+    assert Partition((2, 1, 1)) in {cycle_type(r) for r in listed[1:]}
+    # Cent(g) once, then one listing per class except that of r = id.
+    assert len(listed) == partition_count(4)
+
+
 def test_triples_naive_examples():
     assert triples_naive(0) == 1
     assert triples_naive(1) == 1
@@ -205,8 +241,3 @@ def test_triples_centralizer_cap_guard():
 def test_factorial_divides_triple_counts():
     for n in range(8):
         assert triples_centralizer(n) % factorial(n) == 0
-
-
-@pytest.mark.slow
-def test_factorial_divides_triple_count_degree_eight():
-    assert triples_centralizer(8) % factorial(8) == 0

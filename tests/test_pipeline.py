@@ -3,9 +3,13 @@ from math import factorial
 
 import pytest
 
-from tricomm import numtheory, pipeline, series
+from tricomm import numtheory, permgroup, pipeline, series
 from tricomm.errors import CapExceeded
-from tricomm.permgroup import triples_centralizer, triples_naive
+from tricomm.partitions import Partition, centralizer_order
+from tricomm.permgroup import permutation_of_type, triples_centralizer, triples_naive
+
+# OEIS A061256, n = 0..8: T(n)/n! for the commuting triples T(n) of S_n.
+A061256_PREFIX = (1, 1, 4, 8, 21, 39, 92, 170, 360)
 
 
 def corrupt_sigma_at(j):
@@ -162,3 +166,32 @@ def test_growth_report_has_no_passfail_semantics():
 def test_naive_oracle_cross_check():
     for n in range(6):
         assert triples_naive(n) == triples_centralizer(n)
+
+
+def test_verify_identity_corrupted_route_c_names_first_bad_index(monkeypatch):
+    # Adding |Cent(g)| pairs for one class of S_6 adds class size * |Cent(g)|
+    # = 6! triples: T(6)/6! rises by exactly 1 and stays an exact division.
+    ct = Partition((3, 2, 1))
+    target = permutation_of_type(ct)
+    honest = permgroup.centralizer_pairs
+
+    def corrupted(g):
+        return honest(g) + (centralizer_order(ct) if g == target else 0)
+
+    monkeypatch.setattr(permgroup, "centralizer_pairs", corrupted)
+    assert pipeline.coeffs_brute(6)[6] == A061256_PREFIX[6] + 1
+    report = pipeline.verify_identity(8, 8)
+    assert not report.overall
+    assert report.first_disagreement == 6
+
+
+def test_routes_b_and_c_never_reach_sigma(monkeypatch):
+    expected = pipeline.coeffs_product(60).coeffs
+    assert expected[:9] == A061256_PREFIX
+
+    def forbidden(n):
+        raise AssertionError(f"sigma({n}) reached")
+
+    monkeypatch.setattr(numtheory, "sigma", forbidden)
+    assert pipeline.coeffs_classes(60).coeffs == expected
+    assert tuple(pipeline.coeffs_brute(7)) == A061256_PREFIX[:8]

@@ -2,11 +2,11 @@
 
 
 class CapExceeded(RuntimeError):
-    """A brute-force routine refused to run because a resource cap was hit.
+    """A routine refused to run because a resource cap was hit.
 
     Caps guard the combinatorial explosions (n! tables, (n!)^3 triple loops,
-    t^m*m! wreath tables).  The message always names the cap so callers can
-    raise it deliberately.
+    t^m*m! wreath tables) and the memory of the divisor-sum bound scan.  The
+    message always names the cap so callers can raise it deliberately.
     """
 
     def __init__(self, what: str, cap_name: str, cap: int):

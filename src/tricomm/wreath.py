@@ -172,10 +172,24 @@ def k_wreath(t: int, m: int) -> int:
     return k_wreath_series(t, m)[m]
 
 
+# The partition series at the largest order asked for so far.  Route B asks
+# for the largest order first (t = 1), so it is built once per order and
+# every other row powers a truncation of it.  Like the lru_caches here it
+# only ever holds the series itself, so sharing it changes no result.
+_partitions = series.partition_series(0)
+
+
+def _partition_series(order: int) -> series.IntSeries:
+    global _partitions
+    if _partitions.order < order:
+        _partitions = series.partition_series(order)
+    return _partitions.truncate(order)
+
+
 @lru_cache(maxsize=None)
 def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     """Class counts of W(t, m) for all m <= m_max, as one series power."""
-    return series.power(series.partition_series(m_max), t, m_max)
+    return series.power(_partition_series(m_max), t, m_max)
 
 
 @dataclass(frozen=True)

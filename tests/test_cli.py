@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tricomm import numtheory
 from tricomm.cli import main
 
 
@@ -167,6 +168,29 @@ def test_bound_check_reports_equality_note(capsys):
     code, out, _ = run(capsys, "bound-check", "-N", "100")
     assert code == 0
     assert "2 <= d <= 100" in out
+
+
+def test_bound_check_reports_first_failure(capsys, monkeypatch):
+    # Negative control: a weight raised to d^4 at d = 7 must fail the scan.
+    sieve = numtheory.divisor_weights
+
+    def weights_failing_at_seven(d_max):
+        lhs = sieve(d_max)
+        lhs[7] = 7**4
+        return lhs
+
+    monkeypatch.setattr(numtheory, "divisor_weights", weights_failing_at_seven)
+    code, out, _ = run(capsys, "bound-check", "-N", "10")
+    assert code == 1
+    assert out.splitlines()[-1] == "bound FAILS at d = 7: 2401 >= 2401"
+
+
+def test_bound_check_above_cap_refused(capsys):
+    code, out, err = run(capsys, "bound-check", "-N", "1000001")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert "bound-check cap=1000000" in err
 
 
 def test_growth_output_shape(capsys):

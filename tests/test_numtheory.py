@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from helpers import brute_divisors
 from tricomm import numtheory
+from tricomm.errors import CapExceeded
 
 
 def primes_up_to(n):
@@ -76,12 +78,11 @@ def test_log_coefficient_times_d_is_positive_integer():
         assert scaled > 0
 
 
-def test_bound_check_small_entries():
+def test_divisor_weights_small():
+    assert numtheory.divisor_weights(4) == [0, 1, 7, 13, 35]
+    assert numtheory.divisor_weights(0) == [0]
     report = numtheory.bound_check(4)
-    by_d = {e.d: e for e in report.entries}
-    assert by_d[1] == (1, 1, 1, False)
-    assert by_d[2] == (2, 7, 16, True)
-    assert by_d[4] == (4, 35, 256, True)
+    assert report.d_max == 4
     assert report.equality_at_one
     assert report.all_strict_from_two
 
@@ -92,11 +93,57 @@ def test_bound_check_strict_to_ten_thousand():
     assert report.failures == ()
 
 
-def test_bound_check_lhs_matches_direct_formula():
-    report = numtheory.bound_check(200)
-    for e in report.entries:
-        assert e.lhs == sum(a * numtheory.sigma(a) for a in brute_divisors(e.d))
-        assert e.rhs == e.d**4
+def test_divisor_weights_match_direct_formula():
+    weights = numtheory.divisor_weights(200)
+    for d in range(1, 201):
+        assert weights[d] == sum(a * numtheory.sigma(a) for a in brute_divisors(d))
+
+
+def test_divisor_weights_match_trial_division():
+    weights = numtheory.divisor_weights(2000)
+    assert len(weights) == 2001
+    for d in range(1, 2001):
+        assert weights[d] == numtheory.divisor_weight(d)
+
+
+def test_bound_check_never_divides(monkeypatch):
+    def refuse(n):
+        raise AssertionError("bound_check must sieve, not call sigma or divisors")
+
+    monkeypatch.setattr(numtheory, "sigma", refuse)
+    monkeypatch.setattr(numtheory, "divisors", refuse)
+    report = numtheory.bound_check(100_000)
+    assert report.equality_at_one
+    assert report.all_strict_from_two
+
+
+def test_bound_check_keeps_only_failures(monkeypatch):
+    sieve = numtheory.divisor_weights
+
+    def weights_with_violations(d_max):
+        lhs = sieve(d_max)
+        lhs[7] = 7**4
+        lhs[9] = 9**4 + 1
+        return lhs
+
+    monkeypatch.setattr(numtheory, "divisor_weights", weights_with_violations)
+    report = numtheory.bound_check(10)
+    assert report.failures == ((7, 7**4, 7**4), (9, 9**4 + 1, 9**4))
+    assert report.equality_at_one
+    assert not report.all_strict_from_two
+
+
+def test_bound_check_cap_refuses_before_the_sieve(monkeypatch):
+    def unreachable(d_max):
+        raise AssertionError("the cap must refuse before the sieve runs")
+
+    monkeypatch.setattr(numtheory, "divisor_weights", unreachable)
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="bound-check cap=1000000"):
+        numtheory.bound_check(numtheory.BOUND_CHECK_CAP + 1)
+    with pytest.raises(CapExceeded):
+        numtheory.bound_check(10**8)
+    assert time.monotonic() - start < 1.0
 
 
 def test_bound_check_rejects_zero():

@@ -199,6 +199,23 @@ def test_k_wreath_substituted_series_consistency():
             assert substituted[t * m] == k_wreath(t, m)
 
 
+def test_k_wreath_series_matches_fresh_power():
+    for t in range(1, 6):
+        for m in range(0, 31):
+            assert wreath.k_wreath_series(t, m) == power(partition_series(m), t, m)
+
+
+def test_k_wreath_series_small_order_before_large(monkeypatch):
+    # The shared partition series must grow when a larger order follows.
+    monkeypatch.setattr(wreath, "_partitions", partition_series(0))
+    wreath.k_wreath_series.cache_clear()
+    small = wreath.k_wreath_series(3, 4)
+    large = wreath.k_wreath_series(2, 40)
+    assert small == power(partition_series(4), 3, 4)
+    assert large == power(partition_series(40), 2, 40)
+    assert wreath.k_wreath_series(5, 10) == power(partition_series(10), 5, 10)
+
+
 def test_enumerate_class_labels_examples():
     labels13 = enumerate_class_labels(1, 3)
     assert len(labels13) == 3

@@ -133,7 +133,7 @@ def _cmd_verify(args) -> int:
         failed = True
 
     if args.order >= 1:
-        log_report = pipeline.verify_log(args.order, sigma_fn=sigma_fn)
+        log_report = pipeline.check_log(report.product, sigma_fn=sigma_fn)
         if log_report.ok:
             print(f"log coefficients: ok on 1..{args.order}")
         else:

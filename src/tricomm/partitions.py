@@ -69,16 +69,16 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return out
 
 
-def partition_count(n: int) -> int:
-    """p(n) via Euler's pentagonal-number recurrence.
+def partition_numbers(n_max: int) -> list[int]:
+    """p(0), ..., p(n_max) via Euler's pentagonal-number recurrence.
 
-    Deliberately independent of `enumerate_partitions` so the two can
-    cross-check each other.
+    Deliberately independent of `enumerate_partitions` and of the Euler
+    product `series.partition_series`, so each can cross-check the others.
     """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
+    if n_max < 0:
+        raise ValueError(f"cannot partition a negative integer: {n_max}")
+    p = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
         total = 0
         k = 1
         while True:
@@ -92,7 +92,12 @@ def partition_count(n: int) -> int:
                 total += sign * p[m - g2]
             k += 1
         p[m] = total
-    return p[n]
+    return p
+
+
+def partition_count(n: int) -> int:
+    """p(n), read from `partition_numbers`."""
+    return partition_numbers(n)[n]
 
 
 def centralizer_order(cycle_type: Partition) -> int:

@@ -12,6 +12,7 @@ job is to report, including on deliberately corrupted inputs.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from . import numtheory, series
@@ -20,21 +21,46 @@ from .partitions import enumerate_partitions
 from .permgroup import DEFAULT_CENT_CAP, triples_centralizer
 from .wreath import k_wreath, k_wreath_series
 
+# Largest series order that routes A and B (`expand`, `classes`, `verify`,
+# `log-check`, `growth`) accept; refused before any work, like
+# BOUND_CHECK_CAP.  The slowest of these at the cap, `verify -N 4000 -K 8`,
+# took 27 s and peaked at 29 MB on a 2-vCPU VM (Python 3.11); time grows
+# about as order^2.3, so the cap keeps it well inside the 60 s budget.
+SERIES_ORDER_CAP = 4000
+
+
+def _require_series_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if order > SERIES_ORDER_CAP:
+        raise CapExceeded(f"series order {order}", "series-order cap", SERIES_ORDER_CAP)
+
 
 def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sigma) -> series.IntSeries:
     """Route A: the sigma Euler product, truncated at `order`.
 
     Factors with j > order are 1 modulo u^(order+1), so the product over
-    j = 1..order is already exact.  `sigma_fn` is injectable so a corrupted
-    table can drive negative-control tests.
+    j = 1..order is already exact.  One list is multiplied in place by each
+    factor (1 - u^j)^(-s), s = sigma_fn(j).  While j*s < order that is s
+    prefix-sum passes along every residue class mod j (additions only);
+    otherwise it is one whole-row update per binomial term C(s+k-1, k)
+    u^(j*k).  `sigma_fn` is injectable so a corrupted table can drive
+    negative-control tests.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    result = series.one(order)
+    _require_series_order(order)
+    out = [1] + [0] * order
     for j in range(1, order + 1):
-        factor = series.neg_binomial_factor(j, sigma_fn(j), order)
-        result = series.mul(result, factor, order)
-    return result
+        s = sigma_fn(j)
+        if s < 1:
+            raise ValueError(f"power s must be >= 1, got {s} at j = {j}")
+        if j * s < order:
+            for _ in range(s):
+                for r in range(j):
+                    out[r::j] = accumulate(out[r::j])
+        else:
+            row = series.neg_binomial_factor(1, s, order // j).coeffs
+            series.imul_substituted(out, row, j)
+    return series.IntSeries(tuple(out))
 
 
 def coeffs_classes(order: int) -> series.IntSeries:
@@ -43,21 +69,15 @@ def coeffs_classes(order: int) -> series.IntSeries:
     Coefficient n is sum over partitions of n of prod(k_wreath(t, m_t)).
     The sum is built bottom-up, one part size t at a time: after part t,
     w[n] sums over partitions of n with parts <= t, and adding m parts of
-    size t multiplies by k_wreath(t, m).  Scanning n downward lets w[n - m*t]
-    still hold its value from before part t, so one array serves the whole
-    sweep.  `class_count_by_types` is the same sum with every partition
-    spelled out, kept as a slow cross-check.
+    size t multiplies by k_wreath(t, m).  So w is multiplied in place by
+    sum(k_wreath(t, m) * u^(m*t)), one whole-row update per m.
+    `class_count_by_types` is the same sum with every partition spelled
+    out, kept as a slow cross-check.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _require_series_order(order)
     w = [1] + [0] * order
     for t in range(1, order + 1):
-        row = k_wreath_series(t, order // t).coeffs
-        for n in range(order, t - 1, -1):
-            total = 0
-            for m in range(1, n // t + 1):
-                total += row[m] * w[n - m * t]
-            w[n] += total
+        series.imul_substituted(w, k_wreath_series(t, order // t).coeffs, t)
     return series.IntSeries(tuple(w))
 
 
@@ -150,6 +170,7 @@ def verify_identity(
         raise ValueError(
             f"need order >= brute_max >= 0, got order={order}, brute_max={brute_max}"
         )
+    _require_series_order(order)
     c = coeffs_brute(brute_max, cap=cap)
     a = coeffs_product(order, sigma_fn=sigma_fn)
     b = coeffs_classes(order)
@@ -176,7 +197,17 @@ class LogReport:
 def verify_log(
     order: int, *, sigma_fn: Callable[[int], int] = numtheory.sigma
 ) -> LogReport:
-    """Check route A against the divisor formula for its formal log.
+    """Check route A at `order` against the divisor formula for its formal log."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return check_log(coeffs_product(order, sigma_fn=sigma_fn).coeffs, sigma_fn=sigma_fn)
+
+
+def check_log(
+    a: tuple[int, ...], *, sigma_fn: Callable[[int], int] = numtheory.sigma
+) -> LogReport:
+    """Check the coefficients `a` of route A against the divisor formula
+    for its formal log.
 
     The u^d coefficient of log(route A) must equal b_d / d with
     b_d = sum(a*sigma(a) for a | d), for d = 1..order.  Since route A has
@@ -184,9 +215,9 @@ def verify_log(
     n*a_n = sum(b_k * a_(n-k) for k = 1..n) holds for n = 1..order, in
     integers; the first n where it fails is the first log mismatch.
     """
+    order = len(a) - 1
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    a = coeffs_product(order, sigma_fn=sigma_fn).coeffs
     b = [0] + [numtheory.divisor_weight(k, sigma_fn) for k in range(1, order + 1)]
     for n in range(1, order + 1):
         if n * a[n] != sum(b[k] * a[n - k] for k in range(1, n + 1)):

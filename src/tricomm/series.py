@@ -18,9 +18,9 @@ class IntSeries:
         coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ValueError("a series carries at least the constant term")
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficients only, got {type(c).__name__}")
+        for kind in set(map(type, coeffs)):
+            if not issubclass(kind, int):
+                raise TypeError(f"integer coefficients only, got {kind.__name__}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -101,6 +101,23 @@ def mul(f: IntSeries, g: IntSeries, order: int) -> IntSeries:
                 break
             out[i + j] += a * b
     return IntSeries(tuple(out))
+
+
+def imul_substituted(out: list[int], row, step: int) -> None:
+    """Multiply the list `out` in place by sum(row[k] * u^(k*step)).
+
+    `out` is a truncated series of order len(out) - 1, and row[0] must be 1.
+    Each term k >= 1 adds row[k] times the original `out`, shifted by
+    k*step, as one whole-row update; terms past the order are ignored.
+    """
+    if step < 1:
+        raise ValueError(f"substitution step must be >= 1, got {step}")
+    if row[0] != 1:
+        raise ValueError(f"row must have constant term 1, got {row[0]}")
+    before = out[:]
+    for shift, c in zip(range(step, len(out), step), row[1:]):
+        if c:
+            out[shift:] = [a + c * b for a, b in zip(out[shift:], before)]
 
 
 def _nonzero_terms(f: IntSeries, order: int) -> list[tuple[int, int]]:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import series
 from .errors import CapExceeded
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions, partition_numbers
 from .permgroup import (
     GroupTable,
     commuting_pairs,
@@ -176,13 +176,13 @@ def k_wreath(t: int, m: int) -> int:
 # for the largest order first (t = 1), so it is built once per order and
 # every other row powers a truncation of it.  Like the lru_caches here it
 # only ever holds the series itself, so sharing it changes no result.
-_partitions = series.partition_series(0)
+_partitions = series.one(0)
 
 
 def _partition_series(order: int) -> series.IntSeries:
     global _partitions
     if _partitions.order < order:
-        _partitions = series.partition_series(order)
+        _partitions = series.IntSeries(tuple(partition_numbers(order)))
     return _partitions.truncate(order)
 
 

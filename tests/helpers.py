@@ -2,6 +2,7 @@
 
 from math import factorial
 
+from tricomm import numtheory, series
 from tricomm.permgroup import ConjugacyClasses
 
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
@@ -56,3 +57,14 @@ def conjugacy_classes_full_sweep(table):
         classes.append(tuple(sorted(orbit)))
         reps.append(i)
     return ConjugacyClasses(classes=tuple(classes), representatives=tuple(reps))
+
+
+def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSeries:
+    """Reference route A: each factor (1 - u^j)^(-sigma_fn(j)) built whole
+    by `neg_binomial_factor` and multiplied in with `series.mul`; no
+    in-place update."""
+    result = series.one(order)
+    for j in range(1, order + 1):
+        factor = series.neg_binomial_factor(j, sigma_fn(j), order)
+        result = series.mul(result, factor, order)
+    return result

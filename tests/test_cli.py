@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from tricomm import numtheory
+from tricomm import numtheory, pipeline
 from tricomm.cli import main
 
 
@@ -116,6 +117,55 @@ def test_classes_order_1000_exits_cleanly(capsys):
     assert code == 0
     assert err == ""
     assert out.count("\n") == 1001 and out.startswith("0 1\n1 1\n2 4\n")
+
+
+# sha256 of the b-file printed by `expand -N order` and `classes -N order`.
+BFILE_SHA256 = {
+    1000: "89769c23f132f6a9268c733ea9c32e6ab81b2090bebb72ccfcbfb677979a35a5",
+    2000: "c2ab1e030bda98fb2429b9d4130a69f5b01cb8add0f1badd4c0a624828cf7dd9",
+}
+
+
+@pytest.mark.parametrize(
+    "order", [1000, pytest.param(2000, marks=pytest.mark.slow)]
+)
+def test_expand_and_classes_bfiles_are_pinned(order, capsys):
+    for command in ("expand", "classes"):
+        code, out, err = run(capsys, command, "-N", str(order))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == BFILE_SHA256[order], command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand"],
+        ["classes"],
+        ["verify", "-K", "2"],
+        ["log-check"],
+        ["growth"],
+    ],
+)
+def test_series_order_above_cap_refused(argv, capsys):
+    order = str(pipeline.SERIES_ORDER_CAP + 1)
+    code, out, err = run(capsys, *argv, "-N", order)
+    assert code == 3
+    assert out == ""
+    assert err == f"refused: series order {order} exceeds series-order cap={pipeline.SERIES_ORDER_CAP}\n"
+
+
+def test_verify_computes_route_a_once(monkeypatch, capsys):
+    honest = pipeline.coeffs_product
+    calls = []
+
+    def counted(order, **kwargs):
+        calls.append(order)
+        return honest(order, **kwargs)
+
+    monkeypatch.setattr(pipeline, "coeffs_product", counted)
+    code, out, _ = run(capsys, "verify", "-N", "30", "-K", "3")
+    assert code == 0 and "VERIFIED" in out
+    assert calls == [30]
 
 
 def test_unexpected_exception_is_internal_error_not_disagreement(monkeypatch, capsys):

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tricomm import series
 from tricomm.partitions import (
     Partition,
     centralizer_order,
     enumerate_partitions,
     partition_count,
+    partition_numbers,
 )
 
 
@@ -48,6 +50,13 @@ def test_partition_count_examples():
 def test_partition_count_matches_enumeration():
     for n in range(41):
         assert partition_count(n) == len(enumerate_partitions(n))
+
+
+def test_partition_numbers_match_euler_product():
+    assert partition_numbers(0) == [1]
+    assert partition_numbers(1000) == list(series.partition_series(1000).coeffs)
+    with pytest.raises(ValueError):
+        partition_numbers(-1)
 
 
 @given(st.integers(0, 25))

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from helpers import coeffs_product_by_mul
 from tricomm import numtheory, permgroup, pipeline, series
 from tricomm.errors import CapExceeded
 from tricomm.partitions import Partition, centralizer_order
@@ -20,6 +21,26 @@ def test_coeffs_product_examples():
     assert pipeline.coeffs_product(0).coeffs == (1,)
     assert pipeline.coeffs_product(4).coeffs == (1, 1, 4, 8, 21)
     assert pipeline.coeffs_product(10)[1] == 1
+
+
+@pytest.mark.parametrize(
+    "sigma_fn", [numtheory.sigma, lambda n: 1, lambda n: n * n], ids=["sigma", "one", "square"]
+)
+def test_coeffs_product_matches_factor_by_factor_product(sigma_fn):
+    # Covers both in-place branches: prefix passes while j*s < order,
+    # binomial row updates otherwise.
+    for order in range(81):
+        assert pipeline.coeffs_product(order, sigma_fn=sigma_fn) == coeffs_product_by_mul(
+            order, sigma_fn
+        )
+
+
+@pytest.mark.parametrize(
+    "sigma_fn", [lambda n: 0, lambda n: -1 if n == 30 else numtheory.sigma(n)]
+)
+def test_coeffs_product_rejects_sigma_below_one(sigma_fn):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        pipeline.coeffs_product(40, sigma_fn=sigma_fn)
 
 
 def test_coeffs_product_anchored_to_brute_force():
@@ -103,6 +124,15 @@ def test_verify_identity_corrupted_sigma_names_first_bad_index():
     assert report.first_disagreement == 4
 
 
+@pytest.mark.parametrize("j, prefix_passes", [(2, True), (37, False)])
+def test_verify_identity_corrupted_sigma_in_either_branch(j, prefix_passes):
+    order = 40
+    sigma_fn = corrupt_sigma_at(j)
+    assert (j * sigma_fn(j) < order) == prefix_passes
+    report = pipeline.verify_identity(order, 4, sigma_fn=sigma_fn)
+    assert report.first_disagreement == j
+
+
 def test_verify_log_small_values():
     logged = series.log(pipeline.coeffs_product(4), 4)
     assert logged[1] == 1
@@ -149,6 +179,27 @@ def test_coeffs_classes_order_1000_has_no_recursion_limit():
     # Order 1000 is past the default recursion limit, so route B must not
     # recurse once per order.
     assert pipeline.coeffs_classes(1000) == pipeline.coeffs_product(1000)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda order: pipeline.coeffs_product(order),
+        lambda order: pipeline.coeffs_classes(order),
+        lambda order: pipeline.verify_identity(order, 2),
+        lambda order: pipeline.verify_log(order),
+        lambda order: pipeline.growth_report(order),
+    ],
+    ids=["product", "classes", "verify_identity", "verify_log", "growth_report"],
+)
+def test_series_order_cap_refuses_before_any_work(monkeypatch, run):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work done before the series-order cap refusal")
+
+    for name in ("accumulate", "k_wreath_series", "triples_centralizer"):
+        monkeypatch.setattr(pipeline, name, must_not_run)
+    with pytest.raises(CapExceeded, match="series-order cap"):
+        run(pipeline.SERIES_ORDER_CAP + 1)
 
 
 def test_growth_report_examples():

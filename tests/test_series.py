@@ -146,6 +146,28 @@ def test_mul_commutative_on_sparse_operands(data, order):
     assert series.mul(f, g, order) == series.mul(g, f, order)
 
 
+@pytest.mark.parametrize("step", [1, 2, 5, "order"])
+@given(data=st.data(), order=st.integers(0, 30))
+def test_imul_substituted_matches_naive(step, data, order):
+    step = max(order, 1) if step == "order" else step
+    out = data.draw(st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1))
+    row = [1] + data.draw(st.lists(st.integers(-9, 9), max_size=order // step + 2))
+    factor = [0] * (order + 1)
+    for k, c in enumerate(row):
+        if k * step <= order:
+            factor[k * step] = c
+    expected = naive_convolution(IntSeries(tuple(out)), IntSeries(tuple(factor)), order)
+    series.imul_substituted(out, row, step)
+    assert tuple(out) == expected
+
+
+def test_imul_substituted_rejects_bad_rows():
+    with pytest.raises(ValueError, match="constant term 1"):
+        series.imul_substituted([1, 2, 3], [2, 1], 1)
+    with pytest.raises(ValueError, match="step"):
+        series.imul_substituted([1, 2, 3], [1, 1], 0)
+
+
 def test_neg_binomial_examples():
     assert series.neg_binomial_factor(1, 1, 4).coeffs == (1, 1, 1, 1, 1)
     assert series.neg_binomial_factor(2, 3, 4).coeffs == (1, 0, 3, 0, 6)

@@ -3,16 +3,16 @@
 
 For every W(t, m) that fits the order budget, compare the orbit-counted
 class number against the series count and the label enumeration, and check
-commuting pairs == order * classes.
+commuting pairs == order * classes.  Exits 1 if any group is inconsistent.
 """
 
 import argparse
-from math import factorial
+import sys
 
-from tricomm.wreath import class_structure_report
+from tricomm.wreath import class_structure_report, wreath_family
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cap", type=int, default=2000, help="largest group order")
     parser.add_argument("--t-max", type=int, default=9)
@@ -23,20 +23,18 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     all_ok = True
-    for t in range(1, args.t_max + 1):
-        for m in range(0, args.m_max + 1):
-            if t**m * factorial(m) > args.cap:
-                continue
-            rep = class_structure_report(t, m, cap=args.cap)
-            verdict = "ok" if rep.ok else "MISMATCH"
-            all_ok &= rep.ok
-            print(
-                f"{f'W({t},{m})':>10} {rep.order:>6} {rep.brute_class_count:>8} "
-                f"{rep.series_class_count:>7} {rep.label_count:>7} "
-                f"{rep.commuting_pairs:>9}  {verdict}"
-            )
+    for t, m in wreath_family(args.cap, args.t_max, args.m_max):
+        rep = class_structure_report(t, m, cap=args.cap)
+        verdict = "ok" if rep.ok else "MISMATCH"
+        all_ok &= rep.ok
+        print(
+            f"{f'W({t},{m})':>10} {rep.order:>6} {rep.brute_class_count:>8} "
+            f"{rep.series_class_count:>7} {rep.label_count:>7} "
+            f"{rep.commuting_pairs:>9}  {verdict}"
+        )
     print("\nall groups consistent" if all_ok else "\nINCONSISTENCIES FOUND")
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,16 +23,11 @@ from .permgroup import (
     enumerate_symmetric,
     triples_naive,
 )
-from .wreath import DEFAULT_TABLE_CAP, class_structure_report, k_wreath
+from .wreath import DEFAULT_TABLE_CAP, class_structure_report, k_wreath, wreath_family
 
 # Small-group families swept by `verify`; sized to keep the command snappy.
 VERIFY_SYMMETRIC_MAX = 4
-VERIFY_WREATH_FAMILY = [
-    (t, m)
-    for t in range(1, 5)
-    for m in range(0, 6)
-    if t**m * math.factorial(m) <= 200
-]
+VERIFY_WREATH_FAMILY = wreath_family(200, 4, 5)
 
 
 def _format_bfile(coeffs) -> str:
@@ -95,15 +90,19 @@ def _cmd_brute(args) -> int:
 
 
 def _cmd_wreath(args) -> int:
-    k = k_wreath(args.t, args.m)
+    t, m = args.t, args.m
+    # Route B reads no row with t*m above its order, so its cap bounds t*m.
+    if t >= 1 and m >= 0 and t * m > pipeline.SERIES_ORDER_CAP:
+        raise CapExceeded(
+            f"W({t},{m}) class count with t*m = {t * m}", "series-order cap", pipeline.SERIES_ORDER_CAP
+        )
+    k = k_wreath(t, m)
     if not args.brute:
-        print(f"k(W({args.t},{args.m})) = {k}")
+        print(f"k(W({t},{m})) = {k}")
         return 0
-    report = class_structure_report(args.t, args.m, cap=args.wreath_cap)
+    report = class_structure_report(t, m, cap=args.wreath_cap)
     verdict = "match" if report.brute_class_count == k else "MISMATCH"
-    print(
-        f"k(W({args.t},{args.m})) = {k}, brute = {report.brute_class_count}, {verdict}"
-    )
+    print(f"k(W({t},{m})) = {k}, brute = {report.brute_class_count}, {verdict}")
     if not report.ok:
         print(
             "  structure check failed: "

@@ -11,5 +11,3 @@ class CapExceeded(RuntimeError):
 
     def __init__(self, what: str, cap_name: str, cap: int):
         super().__init__(f"{what} exceeds {cap_name}={cap}")
-        self.cap_name = cap_name
-        self.cap = cap

@@ -245,12 +245,12 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     return ConjugacyClasses(classes=tuple(classes), representatives=tuple(reps))
 
 
-def commuting_pairs(table: GroupTable, *, direct_limit: int = DIRECT_PAIR_LIMIT) -> int:
+def commuting_pairs(table: GroupTable) -> int:
     """Number of ordered pairs (g, h) with g*h = h*g in any listed group,
     counted by direct commutation tests.
 
     Small tables get the plain double loop.  Larger ones (wreath tables
-    above `direct_limit`) group the count over conjugacy classes --
+    above `DIRECT_PAIR_LIMIT`) group the count over conjugacy classes --
     |Cent(g)| is constant along a class, so the sum of centralizer sizes is
     (class size) * (directly counted centralizer of one representative),
     summed over classes.  Both routes are exact and agree (tested); neither
@@ -259,7 +259,7 @@ def commuting_pairs(table: GroupTable, *, direct_limit: int = DIRECT_PAIR_LIMIT)
     elems = table.elements
     commutes = table.commutes
     n = len(elems)
-    if n <= direct_limit:
+    if n <= DIRECT_PAIR_LIMIT:
         total = n  # every element commutes with itself
         for i in range(n):
             g = elems[i]

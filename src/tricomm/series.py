@@ -57,10 +57,6 @@ class RatSeries:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "RatSeries":
-        _require_order(self, order)
-        return RatSeries(self.coeffs[: order + 1])
-
 
 def _require_order(f, order: int) -> None:
     if order < 0:

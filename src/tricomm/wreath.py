@@ -17,7 +17,6 @@ is named by a t-tuple of partitions (one per residue) with total size m.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -157,7 +156,17 @@ def enumerate_wreath(t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP) -> GroupTa
     )
 
 
-@lru_cache(maxsize=None)
+def wreath_family(order_cap: int, t_max: int, m_max: int) -> list[tuple[int, int]]:
+    """All (t, m) with 1 <= t <= t_max and 0 <= m <= m_max whose group
+    W(t, m) has at most `order_cap` elements, t-major."""
+    return [
+        (t, m)
+        for t in range(1, t_max + 1)
+        for m in range(m_max + 1)
+        if t**m * factorial(m) <= order_cap
+    ]
+
+
 def k_wreath(t: int, m: int) -> int:
     """Number of conjugacy classes of W(t, m), by coefficient extraction.
 
@@ -174,8 +183,8 @@ def k_wreath(t: int, m: int) -> int:
 
 # The partition series at the largest order asked for so far.  Route B asks
 # for the largest order first (t = 1), so it is built once per order and
-# every other row powers a truncation of it.  Like the lru_caches here it
-# only ever holds the series itself, so sharing it changes no result.
+# every other row powers a truncation of it.  It only ever holds the series
+# itself, so sharing it changes no result.
 _partitions = series.one(0)
 
 
@@ -186,7 +195,6 @@ def _partition_series(order: int) -> series.IntSeries:
     return _partitions.truncate(order)
 
 
-@lru_cache(maxsize=None)
 def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     """Class counts of W(t, m) for all m <= m_max, as one series power."""
     return series.power(_partition_series(m_max), t, m_max)
@@ -200,53 +208,50 @@ class WreathClassLabel:
 
     lambdas: tuple[Partition, ...]
 
-    @property
-    def modulus(self) -> int:
-        return len(self.lambdas)
-
-    @property
-    def total_size(self) -> int:
-        return sum(p.size for p in self.lambdas)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.lambdas) + ")"
 
 
-def enumerate_class_labels(t: int, m: int) -> list[WreathClassLabel]:
-    """All t-tuples of partitions with total size m.
+# Shared by every residue that carries no cycle: t - 1 per label of W(t, 1).
+_EMPTY = Partition(())
 
-    Deterministic order: the size assigned to residue 0 runs from m down to
-    0, then recursively for the later residues; partitions of each size
-    appear in `enumerate_partitions` order.
+
+def _label(t: int, pairs) -> WreathClassLabel:
+    """The label of the class whose (residue, cycle length) pairs are `pairs`."""
+    lengths: list[list[int]] = [[] for _ in range(t)]
+    for residue, length in pairs:
+        lengths[residue].append(length)
+    return WreathClassLabel(
+        tuple(Partition(tuple(sorted(ls, reverse=True))) if ls else _EMPTY for ls in lengths)
+    )
+
+
+def enumerate_class_labels(t: int, m: int) -> list[WreathClassLabel]:
+    """All t-tuples of partitions with total size m, as colored partitions:
+    a partition of m whose k parts of each length carry a multiset of k
+    residues.
+
+    Deterministic order: partitions of m in `enumerate_partitions` order;
+    within one, each part length (longest first) runs through its residue
+    multisets in `itertools.combinations_with_replacement(range(t), k)`
+    order, the shortest length varying fastest.
     """
     if t < 1:
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m < 0:
         raise ValueError(f"point count must be >= 0, got {m}")
     out: list[WreathClassLabel] = []
-
-    def assign(z: int, remaining: int, acc: tuple[Partition, ...]) -> None:
-        if z == t - 1:
-            for p in enumerate_partitions(remaining):
-                out.append(WreathClassLabel(acc + (p,)))
-            return
-        for s in range(remaining, -1, -1):
-            for p in enumerate_partitions(s):
-                assign(z + 1, remaining - s, acc + (p,))
-
-    assign(0, m, ())
+    for p in enumerate_partitions(m):
+        mult = p.multiplicities()
+        choices = [itertools.combinations_with_replacement(range(t), k) for k in mult.values()]
+        for residues in itertools.product(*choices):
+            pairs = [(z, length) for length, zs in zip(mult, residues) for z in zs]
+            out.append(_label(t, pairs))
     return out
 
 
 def class_label_of(x: WreathElement) -> WreathClassLabel:
-    t = x.modulus
-    by_residue: dict[int, list[int]] = {z: [] for z in range(t)}
-    for residue, length in cycle_sum_invariants(x):
-        by_residue[residue].append(length)
-    lambdas = tuple(
-        Partition(tuple(sorted(by_residue[z], reverse=True))) for z in range(t)
-    )
-    return WreathClassLabel(lambdas)
+    return _label(x.modulus, cycle_sum_invariants(x))
 
 
 @dataclass(frozen=True)

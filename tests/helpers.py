@@ -1,8 +1,6 @@
 """Shared test scaffolding: group families and brute-force oracles."""
 
-from math import factorial
-
-from tricomm import numtheory, series
+from tricomm import numtheory, series, wreath
 from tricomm.permgroup import ConjugacyClasses
 
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
@@ -14,12 +12,7 @@ FAMILY_M_MAX = 8
 
 def wreath_family(order_cap: int, t_max: int = FAMILY_T_MAX, m_max: int = FAMILY_M_MAX):
     """All (t, m) pairs in the test grid whose group order fits the cap."""
-    return [
-        (t, m)
-        for t in range(1, t_max + 1)
-        for m in range(0, m_max + 1)
-        if t**m * factorial(m) <= order_cap
-    ]
+    return wreath.wreath_family(order_cap, t_max, m_max)
 
 
 def brute_divisors(n: int) -> list[int]:

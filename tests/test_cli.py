@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tricomm import numtheory, pipeline
+from tricomm import numtheory, pipeline, series
 from tricomm.cli import main
 
 
@@ -80,6 +80,24 @@ def test_verify_corrupted_sigma_names_index(capsys):
     assert code == 1
     assert "FIRST DISAGREEMENT at index 3" in out
     assert "FAILED" in out
+
+
+def test_verify_corrupted_wreath_row_names_index(capsys, monkeypatch):
+    # Negative control for route B: W(3, 2)'s class count one too high
+    # first shows at u^(3*2).
+    rows = pipeline.k_wreath_series
+
+    def row_three_off_at_two(t, m_max):
+        row = rows(t, m_max).coeffs
+        if t == 3 and m_max >= 2:
+            row = row[:2] + (row[2] + 1,) + row[3:]
+        return series.IntSeries(row)
+
+    monkeypatch.setattr(pipeline, "k_wreath_series", row_three_off_at_two)
+    assert pipeline.verify_identity(10, 2).first_disagreement == 6
+    code, out, _ = run(capsys, "verify", "-N", "10", "-K", "2")
+    assert code == 1
+    assert "FIRST DISAGREEMENT at index 6" in out
 
 
 def test_verify_brute_max_above_cap_refused(capsys):
@@ -203,6 +221,15 @@ def test_wreath_brute_above_cap_refused(capsys):
     code, _, err = run(capsys, "wreath", "3", "6", "--brute")
     assert code == 3
     assert "wreath-table cap" in err
+
+
+@pytest.mark.parametrize("argv", [["wreath", "2", "2001"], ["wreath", "4001", "1", "--brute"]])
+def test_wreath_above_series_order_cap_refused(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert "series-order cap=4000" in err
 
 
 def test_log_check(capsys):

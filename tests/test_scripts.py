@@ -1,9 +1,15 @@
-"""The scripts in `scripts/` run end to end in a fresh interpreter."""
+"""The scripts in `scripts/` run end to end, in a fresh interpreter or under `runpy`."""
 
+import dataclasses
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from tricomm import wreath
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +34,21 @@ def test_wreath_census_honours_a_cap_above_the_table_default():
     assert result.returncode == 0, result.stderr
     assert "W(1,7)" in result.stdout
     assert "all groups consistent" in result.stdout
+
+
+def test_wreath_census_exits_1_on_an_inconsistency(monkeypatch, capsys):
+    report = wreath.class_structure_report
+
+    def pair_count_off_by_one(t, m, *, cap):
+        rep = report(t, m, cap=cap)
+        return dataclasses.replace(rep, commuting_pairs=rep.commuting_pairs + 1)
+
+    monkeypatch.setattr(wreath, "class_structure_report", pair_count_off_by_one)
+    monkeypatch.setattr(sys, "argv", ["wreath_census.py", "--t-max", "2", "--m-max", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "wreath_census.py"), run_name="__main__")
+    assert exc.value.code == 1
+    assert "INCONSISTENCIES FOUND" in capsys.readouterr().out
 
 
 def test_growth_trend_runs():

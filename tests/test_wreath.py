@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,7 +209,6 @@ def test_k_wreath_series_matches_fresh_power():
 def test_k_wreath_series_small_order_before_large(monkeypatch):
     # The shared partition series must grow when a larger order follows.
     monkeypatch.setattr(wreath, "_partitions", partition_series(0))
-    wreath.k_wreath_series.cache_clear()
     small = wreath.k_wreath_series(3, 4)
     large = wreath.k_wreath_series(2, 40)
     assert small == power(partition_series(4), 3, 4)
@@ -224,7 +224,26 @@ def test_enumerate_class_labels_examples():
         ((1,), ()),
         ((), (1,)),
     ]
-    assert len(enumerate_class_labels(2, 2)) == 5
+    labels22 = enumerate_class_labels(2, 2)
+    assert [tuple(p.parts for p in lbl.lambdas) for lbl in labels22] == [
+        ((2,), ()),
+        ((), (2,)),
+        ((1, 1), ()),
+        ((1,), (1,)),
+        ((), (1, 1)),
+    ]
+
+
+def test_enumerate_class_labels_needs_no_stack_per_residue():
+    t = sys.getrecursionlimit() + 10
+    labels = enumerate_class_labels(t, 1)
+    assert len(set(labels)) == len(labels) == k_wreath(t, 1) == t
+
+
+def test_enumerated_labels_are_the_labels_of_the_elements():
+    for t, m in wreath_family(400, t_max=4, m_max=4):
+        elements = enumerate_wreath(t, m).elements
+        assert set(enumerate_class_labels(t, m)) == set(map(class_label_of, elements))
 
 
 def test_class_labels_are_distinct_and_sized():
@@ -232,8 +251,8 @@ def test_class_labels_are_distinct_and_sized():
         labels = enumerate_class_labels(t, m)
         assert len(set(map(str, labels))) == len(labels) == k_wreath(t, m)
         for lbl in labels:
-            assert lbl.total_size == m
-            assert lbl.modulus == t
+            assert sum(p.size for p in lbl.lambdas) == m
+            assert len(lbl.lambdas) == t
 
 
 def test_label_enumeration_length_matches_series_count():

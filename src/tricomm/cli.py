@@ -91,11 +91,6 @@ def _cmd_brute(args) -> int:
 
 def _cmd_wreath(args) -> int:
     t, m = args.t, args.m
-    # Route B reads no row with t*m above its order, so its cap bounds t*m.
-    if t >= 1 and m >= 0 and t * m > pipeline.SERIES_ORDER_CAP:
-        raise CapExceeded(
-            f"W({t},{m}) class count with t*m = {t * m}", "series-order cap", pipeline.SERIES_ORDER_CAP
-        )
     k = k_wreath(t, m)
     if not args.brute:
         print(f"k(W({t},{m})) = {k}")

@@ -19,14 +19,8 @@ from . import numtheory, series
 from .errors import CapExceeded
 from .partitions import enumerate_partitions
 from .permgroup import DEFAULT_CENT_CAP, triples_centralizer
+from .series import SERIES_ORDER_CAP
 from .wreath import k_wreath, k_wreath_series
-
-# Largest series order that routes A and B (`expand`, `classes`, `verify`,
-# `log-check`, `growth`) accept; refused before any work, like
-# BOUND_CHECK_CAP.  The slowest of these at the cap, `verify -N 4000 -K 8`,
-# took 27 s and peaked at 29 MB on a 2-vCPU VM (Python 3.11); time grows
-# about as order^2.3, so the cap keeps it well inside the 60 s budget.
-SERIES_ORDER_CAP = 4000
 
 
 def _require_series_order(order: int) -> None:
@@ -70,24 +64,32 @@ def coeffs_classes(order: int) -> series.IntSeries:
     The sum is built bottom-up, one part size t at a time: after part t,
     w[n] sums over partitions of n with parts <= t, and adding m parts of
     size t multiplies by k_wreath(t, m).  So w is multiplied in place by
-    sum(k_wreath(t, m) * u^(m*t)), one whole-row update per m.
+    row t = sum(k_wreath(t, m) * u^(m*t)), one whole-row update per m.
+    Its coefficients k_wreath(t, m) are those of P^t, P = row 1 (the
+    partition numbers), so each row is the previous one times row 1: one
+    multiply per row.
     `class_count_by_types` is the same sum with every partition spelled
     out, kept as a slow cross-check.
     """
     _require_series_order(order)
+    row_1 = k_wreath_series(1, order)
+    row = series.one(order)
     w = [1] + [0] * order
     for t in range(1, order + 1):
-        series.imul_substituted(w, k_wreath_series(t, order // t).coeffs, t)
+        row = series.mul(row, row_1, order // t)
+        series.imul_substituted(w, row.coeffs, t)
     return series.IntSeries(tuple(w))
 
 
 def class_count_by_types(n: int) -> int:
-    """Route B, literal form: walk every partition of n explicitly."""
+    """Route B, literal form: walk every partition of n explicitly, with
+    each class count k_wreath(t, m), t*m <= n, read once up front."""
+    k = {(t, m): k_wreath(t, m) for t in range(1, n + 1) for m in range(1, n // t + 1)}
     total = 0
     for ct in enumerate_partitions(n):
         w = 1
         for t, m in ct.multiplicities().items():
-            w *= k_wreath(t, m)
+            w *= k[t, m]
         total += w
     return total
 
@@ -95,10 +97,10 @@ def class_count_by_types(n: int) -> int:
 def coeffs_classes_series(order: int) -> series.IntSeries:
     """Route B, series form: the truncated product of P(u^t)^t over t.
 
-    Factors with t > order are 1 modulo u^(order+1).  Shares only k_wreath's
-    ingredients (partition series, powering) with the canonical form; the
-    combination of factors goes through the series engine instead of a
-    per-coefficient sum.
+    Factors with t > order are 1 modulo u^(order+1).  It shares only
+    `series.mul` with the canonical form: P is the Euler product, not the
+    pentagonal recurrence; P^t is powered by squaring, not as a running
+    product; factors are multiplied as series, not by in-place row updates.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

@@ -9,6 +9,14 @@ and operations never silently extend a series.
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Largest series order that routes A and B (`expand`, `classes`, `verify`,
+# `log-check`, `growth`) and the wreath class counts accept; refused before
+# any work, like BOUND_CHECK_CAP.  The slowest of these at the cap,
+# `verify -N 4000 -K 8`, took 27 s and peaked at 29 MB on a 2-vCPU VM
+# (Python 3.11); time grows about as order^2.3, so the cap keeps it well
+# inside the 60 s budget.
+SERIES_ORDER_CAP = 4000
+
 
 @dataclass(frozen=True, slots=True)
 class IntSeries:

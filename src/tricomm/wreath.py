@@ -181,23 +181,16 @@ def k_wreath(t: int, m: int) -> int:
     return k_wreath_series(t, m)[m]
 
 
-# The partition series at the largest order asked for so far.  Route B asks
-# for the largest order first (t = 1), so it is built once per order and
-# every other row powers a truncation of it.  It only ever holds the series
-# itself, so sharing it changes no result.
-_partitions = series.one(0)
-
-
-def _partition_series(order: int) -> series.IntSeries:
-    global _partitions
-    if _partitions.order < order:
-        _partitions = series.IntSeries(tuple(partition_numbers(order)))
-    return _partitions.truncate(order)
-
-
 def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
-    """Class counts of W(t, m) for all m <= m_max, as one series power."""
-    return series.power(_partition_series(m_max), t, m_max)
+    """Class counts of W(t, m) for all m <= m_max, as one series power.
+
+    Route B reads no row with t*m above its order, so t*m_max is held to the
+    series-order cap, refused before any work.
+    """
+    if t * m_max > series.SERIES_ORDER_CAP:
+        what = f"W({t},{m_max}) class count with t*m = {t * m_max}"
+        raise CapExceeded(what, "series-order cap", series.SERIES_ORDER_CAP)
+    return series.power(series.IntSeries(tuple(partition_numbers(m_max))), t, m_max)
 
 
 @dataclass(frozen=True)

@@ -83,21 +83,21 @@ def test_verify_corrupted_sigma_names_index(capsys):
 
 
 def test_verify_corrupted_wreath_row_names_index(capsys, monkeypatch):
-    # Negative control for route B: W(3, 2)'s class count one too high
-    # first shows at u^(3*2).
+    # Negative control for route B: k(W(1, 5)) = p(5) one too high first
+    # shows at u^5.  Every later row is built from row 1.
     rows = pipeline.k_wreath_series
 
-    def row_three_off_at_two(t, m_max):
+    def row_one_off_at_five(t, m_max):
         row = rows(t, m_max).coeffs
-        if t == 3 and m_max >= 2:
-            row = row[:2] + (row[2] + 1,) + row[3:]
+        if t == 1 and m_max >= 5:
+            row = row[:5] + (row[5] + 1,) + row[6:]
         return series.IntSeries(row)
 
-    monkeypatch.setattr(pipeline, "k_wreath_series", row_three_off_at_two)
-    assert pipeline.verify_identity(10, 2).first_disagreement == 6
+    monkeypatch.setattr(pipeline, "k_wreath_series", row_one_off_at_five)
+    assert pipeline.verify_identity(10, 2).first_disagreement == 5
     code, out, _ = run(capsys, "verify", "-N", "10", "-K", "2")
     assert code == 1
-    assert "FIRST DISAGREEMENT at index 6" in out
+    assert "FIRST DISAGREEMENT at index 5" in out
 
 
 def test_verify_brute_max_above_cap_refused(capsys):
@@ -230,6 +230,12 @@ def test_wreath_above_series_order_cap_refused(argv, capsys):
     assert out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
     assert "series-order cap=4000" in err
+
+
+def test_wreath_series_order_refusal_text_is_pinned(capsys):
+    code, out, err = run(capsys, "wreath", "2", "2001")
+    assert (code, out) == (3, "")
+    assert err == "refused: W(2,2001) class count with t*m = 4002 exceeds series-order cap=4000\n"
 
 
 def test_log_check(capsys):

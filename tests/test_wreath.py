@@ -206,14 +206,17 @@ def test_k_wreath_series_matches_fresh_power():
             assert wreath.k_wreath_series(t, m) == power(partition_series(m), t, m)
 
 
-def test_k_wreath_series_small_order_before_large(monkeypatch):
-    # The shared partition series must grow when a larger order follows.
-    monkeypatch.setattr(wreath, "_partitions", partition_series(0))
-    small = wreath.k_wreath_series(3, 4)
-    large = wreath.k_wreath_series(2, 40)
-    assert small == power(partition_series(4), 3, 4)
-    assert large == power(partition_series(40), 2, 40)
-    assert wreath.k_wreath_series(5, 10) == power(partition_series(10), 5, 10)
+def test_k_wreath_series_cap_refuses_before_any_work(monkeypatch):
+    assert wreath.k_wreath_series(4000, 1).coeffs == (1, 4000)
+
+    def must_not_run(n_max):
+        raise AssertionError("work done before the series-order cap refusal")
+
+    monkeypatch.setattr(wreath, "partition_numbers", must_not_run)
+    with pytest.raises(CapExceeded, match="series-order cap=4000"):
+        k_wreath(2, 2001)
+    with pytest.raises(CapExceeded, match="series-order cap=4000"):
+        wreath.k_wreath_series(4001, 1)
 
 
 def test_enumerate_class_labels_examples():

@@ -3,7 +3,8 @@
 
 For every W(t, m) that fits the order budget, compare the orbit-counted
 class number against the series count and the label enumeration, and check
-commuting pairs == order * classes.  Exits 1 if any group is inconsistent.
+commuting pairs == order * classes.  Exits 1 if any group is inconsistent,
+and 2 if no group fits the bounds.
 """
 
 import argparse
@@ -18,12 +19,20 @@ def main() -> int:
     parser.add_argument("--t-max", type=int, default=9)
     parser.add_argument("--m-max", type=int, default=8)
     args = parser.parse_args()
+    family = wreath_family(args.cap, args.t_max, args.m_max)
+    if not family:
+        print(
+            f"error: no wreath group fits --cap {args.cap} --t-max {args.t_max} "
+            f"--m-max {args.m_max}",
+            file=sys.stderr,
+        )
+        return 2
 
     header = f"{'group':>10} {'order':>6} {'classes':>8} {'series':>7} {'labels':>7} {'pairs':>9}  verdict"
     print(header)
     print("-" * len(header))
     all_ok = True
-    for t, m in wreath_family(args.cap, args.t_max, args.m_max):
+    for t, m in family:
         rep = class_structure_report(t, m, cap=args.cap)
         verdict = "ok" if rep.ok else "MISMATCH"
         all_ok &= rep.ok

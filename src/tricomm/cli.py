@@ -139,7 +139,8 @@ def _cmd_verify(args) -> int:
     pair_identity_bad = []
     for n in range(VERIFY_SYMMETRIC_MAX + 1):
         table = enumerate_symmetric(n)
-        if commuting_pairs(table) != len(table) * conjugacy_classes(table).num_classes:
+        cc = conjugacy_classes(table)
+        if commuting_pairs(table, cc) != len(table) * cc.num_classes:
             pair_identity_bad.append(table.name)
     conjugacy_bad = []
     for t, m in VERIFY_WREATH_FAMILY:

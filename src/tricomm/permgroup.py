@@ -24,10 +24,10 @@ Perm = tuple[int, ...]
 DEFAULT_NAIVE_CAP = 5
 DEFAULT_CENT_CAP = 8
 
-# Below this order `commuting_pairs` uses the plain double loop; above it
-# (wreath tables in `verify`'s pair identity), the count is grouped over
-# conjugacy classes.  The loop stays so the identity on small groups never
-# uses orbits.  Route C counts with `centralizer_pairs` instead.
+# Up to this order `commuting_pairs` tests every pair, so the identity on
+# small groups (all of `verify`'s tables) never uses orbits.  Larger tables
+# (`wreath T M --brute`, the census script, the tests) are counted over the
+# caller's conjugacy classes.  Route C counts with `centralizer_pairs` instead.
 DIRECT_PAIR_LIMIT = 500
 
 
@@ -86,7 +86,6 @@ class GroupTable:
         elements: tuple,
         mul: Callable,
         inv: Callable,
-        identity,
         name: str = "",
         generators: tuple = (),
         commutes: Callable | None = None,
@@ -96,7 +95,6 @@ class GroupTable:
             raise ValueError(f"{name or 'table'} of order > 1 has no generators")
         self.mul = mul
         self.inv = inv
-        self.identity = identity
         self.name = name
         self.generators = tuple(generators)
         self.commutes = commutes if commutes is not None else self._mul_commutes
@@ -107,9 +105,6 @@ class GroupTable:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, elem) -> bool:
-        return elem in self.index
 
     @property
     def index(self) -> dict:
@@ -139,7 +134,6 @@ def enumerate_symmetric(n: int, *, cap: int = DEFAULT_CENT_CAP) -> GroupTable:
         elements=tuple(itertools.permutations(range(n))),
         mul=compose,
         inv=inverse_perm,
-        identity=identity_perm(n),
         name=f"S_{n}",
         generators=symmetric_generators(n),
     )
@@ -185,7 +179,6 @@ def centralizer(g: Perm) -> GroupTable:
         elements=tuple(sorted(seen)),
         mul=compose,
         inv=inverse_perm,
-        identity=ident,
         name=f"Cent({g})",
         generators=gens,
     )
@@ -195,20 +188,15 @@ def centralizer(g: Perm) -> GroupTable:
 class ConjugacyClasses:
     """Partition of a group table's index range into conjugacy classes.
 
-    Classes are ordered by their smallest element index, which is also the
-    chosen representative.
+    Each class is an ascending tuple of indices, so `cls[0]` is its
+    representative; classes are ordered by it.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
 
 
 def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
@@ -224,7 +212,6 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
     conjugators = [(s, inv(s)) for s in table.generators]
     assigned = [False] * len(elems)
     classes = []
-    reps = []
     for i, g in enumerate(elems):
         if assigned[i]:
             continue
@@ -241,38 +228,44 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
                     orbit.add(j)
                     frontier.append(h)
         classes.append(tuple(sorted(orbit)))
-        reps.append(i)
-    return ConjugacyClasses(classes=tuple(classes), representatives=tuple(reps))
+    return ConjugacyClasses(classes=tuple(classes))
 
 
-def commuting_pairs(table: GroupTable) -> int:
+def _commuting_masks(table: GroupTable) -> list[int]:
+    """Per element, the bitmask of the indices it commutes with (its own
+    included), from one commutation test per unordered pair."""
+    elems = table.elements
+    commutes = table.commutes
+    size = len(elems)
+    masks = [1 << i for i in range(size)]
+    for i in range(size):
+        g = elems[i]
+        for j in range(i + 1, size):
+            if commutes(g, elems[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def commuting_pairs(table: GroupTable, classes: ConjugacyClasses) -> int:
     """Number of ordered pairs (g, h) with g*h = h*g in any listed group,
     counted by direct commutation tests.
 
-    Small tables get the plain double loop.  Larger ones (wreath tables
-    above `DIRECT_PAIR_LIMIT`) group the count over conjugacy classes --
-    |Cent(g)| is constant along a class, so the sum of centralizer sizes is
-    (class size) * (directly counted centralizer of one representative),
-    summed over classes.  Both routes are exact and agree (tested); neither
-    consults the class-count identity being verified.
+    Tables of at most `DIRECT_PAIR_LIMIT` elements test every pair and never
+    read `classes`.  Larger ones group the count over `classes`, the table's
+    conjugacy classes: |Cent(g)| is constant along a class, so the sum of
+    centralizer sizes is (class size) * (directly counted centralizer of its
+    first element), summed over classes.  Both paths are exact and agree
+    (tested); neither consults the class-count identity being verified.
     """
+    if len(table) <= DIRECT_PAIR_LIMIT:
+        return sum(mask.bit_count() for mask in _commuting_masks(table))
     elems = table.elements
     commutes = table.commutes
-    n = len(elems)
-    if n <= DIRECT_PAIR_LIMIT:
-        total = n  # every element commutes with itself
-        for i in range(n):
-            g = elems[i]
-            for j in range(i + 1, n):
-                if commutes(g, elems[j]):
-                    total += 2
-        return total
-    cc = conjugacy_classes(table)
     total = 0
-    for cls, rep_idx in zip(cc.classes, cc.representatives):
-        rep = elems[rep_idx]
-        cent = sum(1 for h in elems if commutes(rep, h))
-        total += len(cls) * cent
+    for cls in classes.classes:
+        rep = elems[cls[0]]
+        total += len(cls) * sum(1 for h in elems if commutes(rep, h))
     return total
 
 
@@ -290,8 +283,8 @@ def centralizer_pairs(g: Perm) -> int:
     elems = table.elements
     cc = conjugacy_classes(table)
     total = 0
-    for cls, rep_idx in zip(cc.classes, cc.representatives):
-        r = elems[rep_idx]
+    for cls in cc.classes:
+        r = elems[cls[0]]
         if centralizer_order(cycle_type(r)) < len(elems):
             side = centralizer(r)
             count = sum(1 for h in side.elements if side.commutes(g, h))
@@ -313,21 +306,9 @@ def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n > cap:
         raise CapExceeded(f"naive triple count over ({n}!)^3", "naive cap", cap)
-    table = enumerate_symmetric(n, cap=cap)
-    elems = table.elements
-    commutes = table.commutes
-    size = len(elems)
-    masks = [0] * size
-    for i in range(size):
-        masks[i] |= 1 << i
-        g = elems[i]
-        for j in range(i + 1, size):
-            if commutes(g, elems[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    masks = _commuting_masks(enumerate_symmetric(n, cap=cap))
     total = 0
-    for i in range(size):
-        m = masks[i]
+    for m in masks:
         rest = m
         while rest:
             low = rest & -rest

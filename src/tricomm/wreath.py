@@ -136,9 +136,8 @@ def enumerate_wreath(t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP) -> GroupTa
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m < 0:
         raise ValueError(f"point count must be >= 0, got {m}")
-    order = t**m * factorial(m)
-    if order > cap:
-        raise CapExceeded(f"W({t},{m}) with {order} elements", "wreath-table cap", cap)
+    if t**m * factorial(m) > cap:
+        raise CapExceeded(f"W({t},{m}) with {t}^{m}*{m}! elements", "wreath-table cap", cap)
     perms = tuple(itertools.permutations(range(m)))
     elements = tuple(
         WreathElement(colors, perm, t)
@@ -149,7 +148,6 @@ def enumerate_wreath(t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP) -> GroupTa
         elements=elements,
         mul=w_mul,
         inv=w_inv,
-        identity=w_identity(t, m),
         name=f"W({t},{m})",
         generators=_wreath_generators(t, m),
         commutes=w_commutes,
@@ -174,10 +172,6 @@ def k_wreath(t: int, m: int) -> int:
     count is the u^m coefficient of the t-th power of the partition series.
     Never computed by group enumeration.
     """
-    if t < 1:
-        raise ValueError(f"modulus must be >= 1, got {t}")
-    if m < 0:
-        raise ValueError(f"point count must be >= 0, got {m}")
     return k_wreath_series(t, m)[m]
 
 
@@ -187,6 +181,10 @@ def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     Route B reads no row with t*m above its order, so t*m_max is held to the
     series-order cap, refused before any work.
     """
+    if t < 1:
+        raise ValueError(f"modulus must be >= 1, got {t}")
+    if m_max < 0:
+        raise ValueError(f"point count must be >= 0, got {m_max}")
     if t * m_max > series.SERIES_ORDER_CAP:
         what = f"W({t},{m_max}) class count with t*m = {t * m_max}"
         raise CapExceeded(what, "series-order cap", series.SERIES_ORDER_CAP)
@@ -310,5 +308,5 @@ def class_structure_report(
         invariants_match_orbits=_partition_by(table, cycle_sum_invariants)
         == orbit_partition,
         labels_match_orbits=_partition_by(table, class_label_of) == orbit_partition,
-        commuting_pairs=commuting_pairs(table),
+        commuting_pairs=commuting_pairs(table, cc),
     )

@@ -40,7 +40,7 @@ def conjugacy_classes_full_sweep(table):
     every element of the table; no generators."""
     elems, mul, inv, index = table.elements, table.mul, table.inv, table.index
     assigned = [False] * len(elems)
-    classes, reps = [], []
+    classes = []
     for i, g in enumerate(elems):
         if assigned[i]:
             continue
@@ -48,8 +48,7 @@ def conjugacy_classes_full_sweep(table):
         for j in orbit:
             assigned[j] = True
         classes.append(tuple(sorted(orbit)))
-        reps.append(i)
-    return ConjugacyClasses(classes=tuple(classes), representatives=tuple(reps))
+    return ConjugacyClasses(classes=tuple(classes))
 
 
 def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSeries:

@@ -103,16 +103,17 @@ def test_criterion_04_commuting_pair_identity():
     bad = []
     for n in range(7):
         table = enumerate_symmetric(n)
-        k = conjugacy_classes(table).num_classes
-        if commuting_pairs(table) != len(table) * k:
+        cc = conjugacy_classes(table)
+        if commuting_pairs(table, cc) != len(table) * cc.num_classes:
             bad.append(table.name)
     family = wreath_family(5000)
     for t, m in family:
         table = enumerate_wreath(t, m)
-        k = conjugacy_classes(table).num_classes
+        cc = conjugacy_classes(table)
+        k = cc.num_classes
         if k != k_wreath(t, m):
             bad.append(f"W({t},{m}) class count")
-        if commuting_pairs(table) != len(table) * k:
+        if commuting_pairs(table, cc) != len(table) * k:
             bad.append(f"W({t},{m})")
     elapsed = time.monotonic() - start
     report(

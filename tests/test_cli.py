@@ -218,9 +218,17 @@ def test_wreath_without_brute(capsys):
 
 
 def test_wreath_brute_above_cap_refused(capsys):
-    code, _, err = run(capsys, "wreath", "3", "6", "--brute")
-    assert code == 3
-    assert "wreath-table cap" in err
+    code, out, err = run(capsys, "wreath", "3", "6", "--brute")
+    assert (code, out) == (3, "")
+    assert err == "refused: W(3,6) with 3^6*6! elements exceeds wreath-table cap=5000\n"
+
+
+@pytest.mark.parametrize("t, m", [("1", "1700"), ("2", "1500"), ("1", "4000")])
+def test_wreath_brute_refusal_names_a_huge_order_symbolically(t, m, capsys):
+    code, out, err = run(capsys, "wreath", t, m, "--brute")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert "wreath-table cap=5000" in err
 
 
 @pytest.mark.parametrize("argv", [["wreath", "2", "2001"], ["wreath", "4001", "1", "--brute"]])

@@ -17,6 +17,7 @@ from tricomm.partitions import (
     partition_count,
 )
 from tricomm.permgroup import (
+    ConjugacyClasses,
     GroupTable,
     centralizer,
     centralizer_pairs,
@@ -55,12 +56,12 @@ def test_enumerate_symmetric_cap_guard():
 
 def test_table_contains_identity_and_is_closed_spot_check():
     table = enumerate_symmetric(4)
-    assert table.identity in table
+    assert identity_perm(4) in table.index
     sample = table.elements[::5]
     for g in sample:
-        assert inverse_perm(g) in table
+        assert inverse_perm(g) in table.index
         for h in sample:
-            assert compose(g, h) in table
+            assert compose(g, h) in table.index
 
 
 @given(perms(5), perms(5), perms(5))
@@ -122,8 +123,8 @@ def test_centralizer_of_identity_is_the_symmetric_table():
 
 def test_group_table_refuses_missing_generators():
     with pytest.raises(ValueError, match="no generators"):
-        GroupTable(((0, 1), (1, 0)), compose, inverse_perm, (0, 1), name="S_2")
-    trivial = GroupTable(((0,),), compose, inverse_perm, (0,))
+        GroupTable(((0, 1), (1, 0)), compose, inverse_perm, name="S_2")
+    trivial = GroupTable(((0,),), compose, inverse_perm)
     assert conjugacy_classes(trivial).num_classes == 1
 
 
@@ -131,7 +132,7 @@ def test_conjugacy_classes_examples():
     assert conjugacy_classes(enumerate_symmetric(3)).num_classes == 3
     cc4 = conjugacy_classes(enumerate_symmetric(4))
     assert cc4.num_classes == 5
-    assert sorted(cc4.sizes) == [1, 3, 6, 6, 8]
+    assert sorted(len(cls) for cls in cc4.classes) == [1, 3, 6, 6, 8]
     assert conjugacy_classes(enumerate_symmetric(0)).num_classes == 1
 
 
@@ -141,9 +142,10 @@ def test_conjugacy_classes_partition_the_table():
         cc = conjugacy_classes(table)
         seen = sorted(i for cls in cc.classes for i in cls)
         assert seen == list(range(len(table)))
-        for cls, rep in zip(cc.classes, cc.representatives):
-            assert rep == min(cls)
-            rep_type = cycle_type(table.elements[rep])
+        assert [cls[0] for cls in cc.classes] == sorted(cls[0] for cls in cc.classes)
+        for cls in cc.classes:
+            assert list(cls) == sorted(cls)
+            rep_type = cycle_type(table.elements[cls[0]])
             assert all(cycle_type(table.elements[i]) == rep_type for i in cls)
 
 
@@ -160,10 +162,14 @@ def test_generator_bfs_matches_full_orbit_sweep():
             assert conjugacy_classes(group) == conjugacy_classes_full_sweep(group)
 
 
+def commuting_pairs_of(table):
+    return commuting_pairs(table, conjugacy_classes(table))
+
+
 def test_commuting_pairs_examples():
-    assert commuting_pairs(enumerate_symmetric(2)) == 4
-    assert commuting_pairs(enumerate_symmetric(3)) == 18
-    assert commuting_pairs(enumerate_symmetric(4)) == 120
+    assert commuting_pairs_of(enumerate_symmetric(2)) == 4
+    assert commuting_pairs_of(enumerate_symmetric(3)) == 18
+    assert commuting_pairs_of(enumerate_symmetric(4)) == 120
 
 
 def test_commuting_pairs_grouped_equals_direct():
@@ -171,7 +177,25 @@ def test_commuting_pairs_grouped_equals_direct():
     # elements, takes the count grouped over classes.
     for n in range(7):
         table = enumerate_symmetric(n)
-        assert commuting_pairs(table) == commuting_pairs_double_loop(table)
+        assert commuting_pairs_of(table) == commuting_pairs_double_loop(table)
+
+
+def test_commuting_pairs_above_the_limit_reads_the_given_classes(monkeypatch):
+    table = enumerate_symmetric(6)
+    assert len(table) > permgroup.DIRECT_PAIR_LIMIT
+    cc = conjugacy_classes(table)
+
+    def must_not_run(table):
+        raise AssertionError("commuting_pairs recomputed the classes")
+
+    monkeypatch.setattr(permgroup, "conjugacy_classes", must_not_run)
+    assert commuting_pairs(table, cc) == 720 * 11
+
+
+def test_commuting_pairs_at_the_limit_reads_no_classes():
+    table = enumerate_symmetric(5)
+    assert len(table) <= permgroup.DIRECT_PAIR_LIMIT
+    assert commuting_pairs(table, ConjugacyClasses(classes=())) == 120 * 7
 
 
 def test_centralizer_pairs_equals_double_loop():
@@ -184,7 +208,7 @@ def test_centralizer_pairs_equals_commuting_pairs_on_every_cycle_type():
     for n in range(8):
         for ct in enumerate_partitions(n):
             g = permutation_of_type(ct)
-            assert centralizer_pairs(g) == commuting_pairs(centralizer(g))
+            assert centralizer_pairs(g) == commuting_pairs_of(centralizer(g))
 
 
 def test_centralizer_pairs_uses_both_sides(monkeypatch):

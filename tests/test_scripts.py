@@ -36,6 +36,14 @@ def test_wreath_census_honours_a_cap_above_the_table_default():
     assert "all groups consistent" in result.stdout
 
 
+@pytest.mark.parametrize("bound", [["--cap", "-1"], ["--t-max", "0"]])
+def test_wreath_census_refuses_an_empty_family(bound):
+    result = run_script("wreath_census.py", *bound)
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1 and "no wreath group" in result.stderr
+    assert "all groups consistent" not in result.stdout
+
+
 def test_wreath_census_exits_1_on_an_inconsistency(monkeypatch, capsys):
     report = wreath.class_structure_report
 

@@ -186,6 +186,10 @@ def test_k_wreath_rejects_bad_arguments():
         k_wreath(0, 2)
     with pytest.raises(ValueError):
         k_wreath(2, -1)
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        wreath.k_wreath_series(0, 3)
+    with pytest.raises(ValueError, match="modulus must be >= 1, got -1"):
+        wreath.k_wreath_series(-1, 3)
 
 
 def test_k_wreath_substituted_series_consistency():

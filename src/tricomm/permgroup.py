@@ -269,9 +269,9 @@ def commuting_pairs(table: GroupTable, classes: ConjugacyClasses) -> int:
     return total
 
 
-def centralizer_pairs(g: Perm) -> int:
+def centralizer_pairs(g: Perm, table: GroupTable) -> int:
     """Number of ordered commuting pairs in Cent(g), g in S_n, counted by
-    direct commutation tests.
+    direct commutation tests; `table` is Cent(g) as `centralizer(g)` lists it.
 
     The pairs (r, h) for a fixed r number |Cent(g) & Cent(r)|, constant along
     r's class in Cent(g).  For each class representative r, that
@@ -279,7 +279,6 @@ def centralizer_pairs(g: Perm) -> int:
     (both listed from generators) and testing each element against the
     other of g and r.  `centralizer_order` only picks the side to list.
     """
-    table = centralizer(g)
     elems = table.elements
     cc = conjugacy_classes(table)
     total = 0
@@ -325,17 +324,29 @@ def triples_centralizer(n: int, *, cap: int = DEFAULT_CENT_CAP) -> int:
     of Cent(g), and that count is constant along the conjugacy class of g,
     so the total is sum over cycle types of
     (class size) * centralizer_pairs(representative).
+
+    S_n itself is never listed.  The identity's term, the commuting pairs of
+    S_n, is sum over r of |Cent(r)|: n! for r = id plus (class size) *
+    |Cent(g)| for every other cycle type, read off the centralizers that the
+    loop lists anyway.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n > cap:
         raise CapExceeded(f"centralizer triple count in S_{n}", "centralizer cap", cap)
     n_fact = factorial(n)
+    ident = identity_perm(n)
+    pairs = n_fact  # r = id commutes with all of S_n
     total = 0
     for ct in enumerate_partitions(n):
+        g = permutation_of_type(ct)
+        if g == ident:
+            continue
         class_size = n_fact // centralizer_order(ct)
-        total += class_size * centralizer_pairs(permutation_of_type(ct))
-    return total
+        table = centralizer(g)
+        pairs += class_size * len(table)
+        total += class_size * centralizer_pairs(g, table)
+    return total + pairs  # the identity's class adds the pairs of S_n
 
 
 def permutation_of_type(ct: Partition) -> Perm:

@@ -1,12 +1,10 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-come; the degree-9 brute anchor is opt-in via `pytest -m slow`.
+come.
 """
 
 import time
-
-import pytest
 
 from helpers import wreath_family
 from tricomm import numtheory, pipeline, series
@@ -72,13 +70,12 @@ def test_criterion_02_slow_brute_force_anchor_degree_8():
     )
 
 
-@pytest.mark.slow
-def test_criterion_02_slow_brute_force_anchor_degree_9():
+def test_criterion_02_brute_force_anchor_degree_9():
     brute = pipeline.coeffs_brute(9, cap=9)
     product = pipeline.coeffs_product(9)
     report(
         2,
-        "product anchored to triple counts, n = 9 (slow suite)",
+        "product anchored to triple counts, n = 9",
         list(product.coeffs) == brute and brute[9] == 667,
     )
 

@@ -201,14 +201,16 @@ def test_commuting_pairs_at_the_limit_reads_no_classes():
 def test_centralizer_pairs_equals_double_loop():
     for n in range(6):
         for g in enumerate_symmetric(n).elements:
-            assert centralizer_pairs(g) == commuting_pairs_double_loop(centralizer(g))
+            table = centralizer(g)
+            assert centralizer_pairs(g, table) == commuting_pairs_double_loop(table)
 
 
 def test_centralizer_pairs_equals_commuting_pairs_on_every_cycle_type():
     for n in range(8):
         for ct in enumerate_partitions(n):
             g = permutation_of_type(ct)
-            assert centralizer_pairs(g) == commuting_pairs_of(centralizer(g))
+            table = centralizer(g)
+            assert centralizer_pairs(g, table) == commuting_pairs_of(table)
 
 
 def test_centralizer_pairs_uses_both_sides(monkeypatch):
@@ -224,7 +226,7 @@ def test_centralizer_pairs_uses_both_sides(monkeypatch):
 
     monkeypatch.setattr(permgroup, "centralizer", recording)
     g = identity_perm(4)
-    assert centralizer_pairs(g) == 120
+    assert centralizer_pairs(g, permgroup.centralizer(g)) == 120
     assert listed[0] == g
     assert listed.count(g) == 1
     assert Partition((2, 1, 1)) in {cycle_type(r) for r in listed[1:]}
@@ -255,6 +257,50 @@ def test_triples_centralizer_examples():
 def test_triples_centralizer_matches_naive():
     for n in range(6):
         assert triples_centralizer(n) == triples_naive(n)
+
+
+def test_triples_centralizer_matches_a079860_up_to_degree_9():
+    expected = [1, 1, 8, 48, 504, 4680, 66240, 856800, 14515200, 242040960]
+    assert [triples_centralizer(n, cap=9) for n in range(10)] == expected
+
+
+def test_triples_centralizer_never_lists_the_identitys_centralizer(monkeypatch):
+    listed = []
+    honest = permgroup.centralizer
+
+    def recording(x):
+        listed.append(x)
+        return honest(x)
+
+    monkeypatch.setattr(permgroup, "centralizer", recording)
+    for n in range(1, 9):
+        listed.clear()
+        triples_centralizer(n)
+        assert identity_perm(n) not in listed
+
+
+def test_triples_centralizer_never_lists_the_symmetric_group(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("triples_centralizer listed S_n")
+
+    monkeypatch.setattr(permgroup, "enumerate_symmetric", must_not_run)
+    for n in range(9):
+        triples_centralizer(n)
+
+
+def test_triples_centralizer_sweeps_no_table_of_order_n_factorial(monkeypatch):
+    sizes = []
+    honest = permgroup.conjugacy_classes
+
+    def recording(table):
+        sizes.append(len(table))
+        return honest(table)
+
+    monkeypatch.setattr(permgroup, "conjugacy_classes", recording)
+    for n in range(3, 9):
+        sizes.clear()
+        triples_centralizer(n)
+        assert sizes and factorial(n) not in sizes
 
 
 def test_triples_centralizer_cap_guard():

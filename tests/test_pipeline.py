@@ -226,8 +226,8 @@ def test_verify_identity_corrupted_route_c_names_first_bad_index(monkeypatch):
     target = permutation_of_type(ct)
     honest = permgroup.centralizer_pairs
 
-    def corrupted(g):
-        return honest(g) + (centralizer_order(ct) if g == target else 0)
+    def corrupted(g, table):
+        return honest(g, table) + (centralizer_order(ct) if g == target else 0)
 
     monkeypatch.setattr(permgroup, "centralizer_pairs", corrupted)
     assert pipeline.coeffs_brute(6)[6] == A061256_PREFIX[6] + 1

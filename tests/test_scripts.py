@@ -63,3 +63,19 @@ def test_growth_trend_runs():
     result = run_script("growth_trend.py", "-N", "10")
     assert result.returncode == 0, result.stderr
     assert "root at n=" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["--order", "0"], 2),
+        (["--order", "-3"], 2),
+        (["--order", "5000"], 3),
+        (["--every", "0"], 2),
+    ],
+)
+def test_growth_trend_rejects_bad_input_without_a_traceback(args, code):
+    result = run_script("growth_trend.py", *args)
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

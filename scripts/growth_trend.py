@@ -33,12 +33,13 @@ def main() -> int:
     for p in points:
         if p.n <= 5 or p.n % args.every == 0:
             print(f"{p.n:>5}  {p.root:>8.4f}  {len(str(p.coefficient)):>6}")
-    half = points[len(points) // 2 - 1]
-    last = points[-1]
-    print(
-        f"\nroot at n={half.n}: {half.root:.4f}; at n={last.n}: {last.root:.4f} "
-        f"(ratio {last.root / half.root:.4f})"
-    )
+    if len(points) > 1:
+        half = points[len(points) // 2 - 1]
+        last = points[-1]
+        print(
+            f"\nroot at n={half.n}: {half.root:.4f}; at n={last.n}: {last.root:.4f} "
+            f"(ratio {last.root / half.root:.4f})"
+        )
     return 0
 
 

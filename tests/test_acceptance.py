@@ -60,7 +60,7 @@ def test_criterion_02_brute_force_anchor_to_degree_7():
     )
 
 
-def test_criterion_02_slow_brute_force_anchor_degree_8():
+def test_criterion_02_brute_force_anchor_degree_8():
     brute = pipeline.coeffs_brute(8)
     product = pipeline.coeffs_product(8)
     report(

@@ -106,6 +106,30 @@ def test_divisor_weights_match_trial_division():
         assert weights[d] == numtheory.divisor_weight(d)
 
 
+@pytest.mark.parametrize("d_max", [0, 1, 2, 3])
+def test_divisor_weights_below_the_first_sieving_prime(d_max):
+    assert numtheory.divisor_weights(d_max) == [0, 1, 7, 13][: d_max + 1]
+
+
+def test_divisor_weights_at_the_cap_match_trial_division():
+    cap = numtheory.BOUND_CHECK_CAP
+    weights = numtheory.divisor_weights(cap)
+    assert len(weights) == cap + 1
+    prime_powers = [
+        p**k for p in primes_up_to(1000) for k in range(1, 20) if p**k <= cap
+    ]
+    assert 2**19 in prime_powers and 3**12 in prime_powers and 997**2 in prime_powers
+    sampled = prime_powers + [999_983, 999_958] + list(range(999_900, cap + 1))
+    for d in sampled:
+        assert weights[d] == numtheory.divisor_weight(d), d
+
+
+def test_bound_check_strict_to_the_cap():
+    report = numtheory.bound_check(numtheory.BOUND_CHECK_CAP)
+    assert report.equality_at_one
+    assert report.failures == ()
+
+
 def test_bound_check_never_divides(monkeypatch):
     def refuse(n):
         raise AssertionError("bound_check must sieve, not call sigma or divisors")

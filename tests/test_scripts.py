@@ -65,6 +65,12 @@ def test_growth_trend_runs():
     assert "root at n=" in result.stdout
 
 
+def test_growth_trend_prints_no_half_way_root_for_one_point():
+    result = run_script("growth_trend.py", "-N", "1")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "    n      root  digits\n    1    1.0000       1\n"
+
+
 @pytest.mark.parametrize(
     "args, code",
     [

@@ -91,11 +91,11 @@ def _cmd_brute(args) -> int:
 
 def _cmd_wreath(args) -> int:
     t, m = args.t, args.m
-    k = k_wreath(t, m)
     if not args.brute:
-        print(f"k(W({t},{m})) = {k}")
+        print(f"k(W({t},{m})) = {k_wreath(t, m)}")
         return 0
     report = class_structure_report(t, m, cap=args.wreath_cap)
+    k = report.series_class_count
     verdict = "match" if report.brute_class_count == k else "MISMATCH"
     print(f"k(W({t},{m})) = {k}, brute = {report.brute_class_count}, {verdict}")
     if not report.ok:
@@ -140,7 +140,7 @@ def _cmd_verify(args) -> int:
     for n in range(VERIFY_SYMMETRIC_MAX + 1):
         table = enumerate_symmetric(n)
         cc = conjugacy_classes(table)
-        if commuting_pairs(table, cc) != len(table) * cc.num_classes:
+        if commuting_pairs(table, cc) != len(table) * len(cc):
             pair_identity_bad.append(table.name)
     conjugacy_bad = []
     for t, m in VERIFY_WREATH_FAMILY:

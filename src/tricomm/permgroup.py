@@ -11,7 +11,6 @@ the class/pair/triple counters below work for any finite group we can list
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Callable
@@ -23,12 +22,6 @@ Perm = tuple[int, ...]
 
 DEFAULT_NAIVE_CAP = 5
 DEFAULT_CENT_CAP = 8
-
-# Up to this order `commuting_pairs` tests every pair, so the identity on
-# small groups (all of `verify`'s tables) never uses orbits.  Larger tables
-# (`wreath T M --brute`, the census script, the tests) are counted over the
-# caller's conjugacy classes.  Route C counts with `centralizer_pairs` instead.
-DIRECT_PAIR_LIMIT = 500
 
 
 def identity_perm(degree: int) -> Perm:
@@ -184,27 +177,13 @@ def centralizer(g: Perm) -> GroupTable:
     )
 
 
-@dataclass(frozen=True)
-class ConjugacyClasses:
-    """Partition of a group table's index range into conjugacy classes.
+def conjugacy_classes(table: GroupTable) -> tuple[tuple[int, ...], ...]:
+    """Orbit partition of the table's index range under conjugation.
 
     Each class is an ascending tuple of indices, so `cls[0]` is its
-    representative; classes are ordered by it.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-
-def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
-    """Orbit partition of the table under conjugation.
-
-    The orbit of each element is closed under conjugation by the table's
-    generators only: the same partition as conjugating by every element,
-    with far fewer products.
+    representative; classes are ordered by it.  The orbit of each element
+    is closed under conjugation by the table's generators only: the same
+    partition as conjugating by every element, with far fewer products.
     """
     elems = table.elements
     mul, inv = table.mul, table.inv
@@ -228,42 +207,23 @@ def conjugacy_classes(table: GroupTable) -> ConjugacyClasses:
                     orbit.add(j)
                     frontier.append(h)
         classes.append(tuple(sorted(orbit)))
-    return ConjugacyClasses(classes=tuple(classes))
+    return tuple(classes)
 
 
-def _commuting_masks(table: GroupTable) -> list[int]:
-    """Per element, the bitmask of the indices it commutes with (its own
-    included), from one commutation test per unordered pair."""
-    elems = table.elements
-    commutes = table.commutes
-    size = len(elems)
-    masks = [1 << i for i in range(size)]
-    for i in range(size):
-        g = elems[i]
-        for j in range(i + 1, size):
-            if commutes(g, elems[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
-def commuting_pairs(table: GroupTable, classes: ConjugacyClasses) -> int:
+def commuting_pairs(table: GroupTable, classes: tuple[tuple[int, ...], ...]) -> int:
     """Number of ordered pairs (g, h) with g*h = h*g in any listed group,
     counted by direct commutation tests.
 
-    Tables of at most `DIRECT_PAIR_LIMIT` elements test every pair and never
-    read `classes`.  Larger ones group the count over `classes`, the table's
-    conjugacy classes: |Cent(g)| is constant along a class, so the sum of
-    centralizer sizes is (class size) * (directly counted centralizer of its
-    first element), summed over classes.  Both paths are exact and agree
-    (tested); neither consults the class-count identity being verified.
+    `classes` are the table's conjugacy classes, as `conjugacy_classes`
+    returns them.  |Cent(g)| is constant along a class, so the count is
+    (class size) * (directly counted centralizer of its first element),
+    summed over classes; it never consults the class-count identity being
+    verified.
     """
-    if len(table) <= DIRECT_PAIR_LIMIT:
-        return sum(mask.bit_count() for mask in _commuting_masks(table))
     elems = table.elements
     commutes = table.commutes
     total = 0
-    for cls in classes.classes:
+    for cls in classes:
         rep = elems[cls[0]]
         total += len(cls) * sum(1 for h in elems if commutes(rep, h))
     return total
@@ -280,9 +240,8 @@ def centralizer_pairs(g: Perm, table: GroupTable) -> int:
     other of g and r.  `centralizer_order` only picks the side to list.
     """
     elems = table.elements
-    cc = conjugacy_classes(table)
     total = 0
-    for cls in cc.classes:
+    for cls in conjugacy_classes(table):
         r = elems[cls[0]]
         if centralizer_order(cycle_type(r)) < len(elems):
             side = centralizer(r)
@@ -298,14 +257,26 @@ def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
     by direct enumeration.
 
     Per element, the set of commuting partners is stored as a bitmask built
-    from explicit commutation tests; a triple (a, b, c) is counted by
-    intersecting the masks of a commuting pair (a, b).
+    from one explicit commutation test per unordered pair; a triple
+    (a, b, c) is counted by intersecting the masks of a commuting pair
+    (a, b).  The loop shares no code with route C or `commuting_pairs`, so
+    `verify` uses it as an independent oracle.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n > cap:
         raise CapExceeded(f"naive triple count over ({n}!)^3", "naive cap", cap)
-    masks = _commuting_masks(enumerate_symmetric(n, cap=cap))
+    table = enumerate_symmetric(n, cap=cap)
+    elems = table.elements
+    commutes = table.commutes
+    size = len(elems)
+    masks = [1 << i for i in range(size)]
+    for i in range(size):
+        g = elems[i]
+        for j in range(i + 1, size):
+            if commutes(g, elems[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
     total = 0
     for m in masks:
         rest = m

@@ -17,7 +17,6 @@ is named by a t-tuple of partitions (one per residue) with total size m.
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import NamedTuple
 
 from . import series
@@ -130,13 +129,25 @@ def _wreath_generators(t: int, m: int) -> tuple[WreathElement, ...]:
     return tuple(gens)
 
 
+def _order_exceeds(t: int, m: int, cap: int) -> bool:
+    """True iff |W(t, m)| = t^m * m! is above `cap`.  The order is built as
+    the product of t*k for k = 1..m, stopping once it passes the cap, so a
+    huge m costs about log2(cap) steps, not its full product."""
+    order = 1
+    for k in range(1, m + 1):
+        if order > cap:
+            return True
+        order *= t * k
+    return order > cap
+
+
 def enumerate_wreath(t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
     """All t^m * m! elements of W(t, m) as a table, colors-major order."""
     if t < 1:
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m < 0:
         raise ValueError(f"point count must be >= 0, got {m}")
-    if t**m * factorial(m) > cap:
+    if _order_exceeds(t, m, cap):
         raise CapExceeded(f"W({t},{m}) with {t}^{m}*{m}! elements", "wreath-table cap", cap)
     perms = tuple(itertools.permutations(range(m)))
     elements = tuple(
@@ -156,13 +167,17 @@ def enumerate_wreath(t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP) -> GroupTa
 
 def wreath_family(order_cap: int, t_max: int, m_max: int) -> list[tuple[int, int]]:
     """All (t, m) with 1 <= t <= t_max and 0 <= m <= m_max whose group
-    W(t, m) has at most `order_cap` elements, t-major."""
-    return [
-        (t, m)
-        for t in range(1, t_max + 1)
-        for m in range(m_max + 1)
-        if t**m * factorial(m) <= order_cap
-    ]
+    W(t, m) has at most `order_cap` elements, t-major.
+
+    t^m * m! never decreases as m grows, so each t stops at its first
+    group over the cap."""
+    family = []
+    for t in range(1, t_max + 1):
+        for m in range(m_max + 1):
+            if _order_exceeds(t, m, order_cap):
+                break
+            family.append((t, m))
+    return family
 
 
 def k_wreath(t: int, m: int) -> int:
@@ -175,12 +190,9 @@ def k_wreath(t: int, m: int) -> int:
     return k_wreath_series(t, m)[m]
 
 
-def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
-    """Class counts of W(t, m) for all m <= m_max, as one series power.
-
-    Route B reads no row with t*m above its order, so t*m_max is held to the
-    series-order cap, refused before any work.
-    """
+def _check_series_order(t: int, m_max: int) -> None:
+    """Refuse a class-count row W(t, 0..m_max) that is malformed or whose
+    t*m_max is above the series-order cap."""
     if t < 1:
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m_max < 0:
@@ -188,6 +200,15 @@ def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     if t * m_max > series.SERIES_ORDER_CAP:
         what = f"W({t},{m_max}) class count with t*m = {t * m_max}"
         raise CapExceeded(what, "series-order cap", series.SERIES_ORDER_CAP)
+
+
+def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
+    """Class counts of W(t, m) for all m <= m_max, as one series power.
+
+    Route B reads no row with t*m above its order, so t*m_max is held to the
+    series-order cap, refused before any work.
+    """
+    _check_series_order(t, m_max)
     return series.power(series.IntSeries(tuple(partition_numbers(m_max))), t, m_max)
 
 
@@ -294,15 +315,18 @@ def class_structure_report(
     fingerprints are equal, so block-partition equality against the orbit
     partition is exactly the all-pairs statement "conjugate iff equal
     invariants".
+
+    The series-order cap and then the table cap are checked before any work.
     """
+    _check_series_order(t, m)
     table = enumerate_wreath(t, m, cap=cap)
     cc = conjugacy_classes(table)
-    orbit_partition = {frozenset(cls) for cls in cc.classes}
+    orbit_partition = {frozenset(cls) for cls in cc}
     return StructureReport(
         t=t,
         m=m,
         order=len(table),
-        brute_class_count=cc.num_classes,
+        brute_class_count=len(cc),
         series_class_count=k_wreath(t, m),
         label_count=len(enumerate_class_labels(t, m)),
         invariants_match_orbits=_partition_by(table, cycle_sum_invariants)

@@ -1,7 +1,6 @@
 """Shared test scaffolding: group families and brute-force oracles."""
 
 from tricomm import numtheory, series, wreath
-from tricomm.permgroup import ConjugacyClasses
 
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
 # order within the 5000-element budget already has t <= 9, and the m <= 1
@@ -48,7 +47,7 @@ def conjugacy_classes_full_sweep(table):
         for j in orbit:
             assigned[j] = True
         classes.append(tuple(sorted(orbit)))
-    return ConjugacyClasses(classes=tuple(classes))
+    return tuple(classes)
 
 
 def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSeries:

@@ -101,13 +101,13 @@ def test_criterion_04_commuting_pair_identity():
     for n in range(7):
         table = enumerate_symmetric(n)
         cc = conjugacy_classes(table)
-        if commuting_pairs(table, cc) != len(table) * cc.num_classes:
+        if commuting_pairs(table, cc) != len(table) * len(cc):
             bad.append(table.name)
     family = wreath_family(5000)
     for t, m in family:
         table = enumerate_wreath(t, m)
         cc = conjugacy_classes(table)
-        k = cc.num_classes
+        k = len(cc)
         if k != k_wreath(t, m):
             bad.append(f"W({t},{m}) class count")
         if commuting_pairs(table, cc) != len(table) * k:
@@ -134,7 +134,7 @@ def test_criterion_05_invariant_conjugacy_matches_orbits():
             # literal all-pairs statement on the small groups
             table = enumerate_wreath(t, m)
             cc = conjugacy_classes(table)
-            orbit_of = {i: ci for ci, cls in enumerate(cc.classes) for i in cls}
+            orbit_of = {i: ci for ci, cls in enumerate(cc) for i in cls}
             for i, x in enumerate(table.elements):
                 for j, y in enumerate(table.elements):
                     if conjugate_by_invariants(x, y) != (orbit_of[i] == orbit_of[j]):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tricomm import numtheory, pipeline, series
+from tricomm import numtheory, pipeline, series, wreath
 from tricomm.cli import main
 
 
@@ -73,6 +73,19 @@ def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "-N", "10", "-K", "3")
     assert code == 0
     assert "VERIFIED" in out
+
+
+def test_verify_full_output_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "-N", "60", "-K", "7")
+    assert (code, err) == (0, "")
+    assert out == (
+        "identity: product == classes on 0..60, == brute on 0..7: ok\n"
+        "log coefficients: ok on 1..60\n"
+        "commuting-pair identity: ok on S_0..S_4 and 17 wreath groups\n"
+        "wreath conjugacy structure: ok on 17 wreath groups\n"
+        "naive triple count: ok on 0..5\n"
+        "VERIFIED\n"
+    )
 
 
 def test_verify_corrupted_sigma_names_index(capsys):
@@ -238,6 +251,16 @@ def test_wreath_above_series_order_cap_refused(argv, capsys):
     assert out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
     assert "series-order cap=4000" in err
+
+
+def test_wreath_brute_refuses_on_the_table_cap_before_any_series_work(capsys, monkeypatch):
+    def must_not_run(t, m_max):
+        raise AssertionError("k_wreath_series ran before the table cap refused")
+
+    monkeypatch.setattr(wreath, "k_wreath_series", must_not_run)
+    code, out, err = run(capsys, "wreath", "2", "2000", "--brute")
+    assert (code, out) == (3, "")
+    assert err == "refused: W(2,2000) with 2^2000*2000! elements exceeds wreath-table cap=5000\n"
 
 
 def test_wreath_series_order_refusal_text_is_pinned(capsys):

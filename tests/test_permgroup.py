@@ -17,7 +17,6 @@ from tricomm.partitions import (
     partition_count,
 )
 from tricomm.permgroup import (
-    ConjugacyClasses,
     GroupTable,
     centralizer,
     centralizer_pairs,
@@ -32,6 +31,7 @@ from tricomm.permgroup import (
     triples_centralizer,
     triples_naive,
 )
+from tricomm.wreath import enumerate_wreath
 
 
 def perms(n):
@@ -125,25 +125,25 @@ def test_group_table_refuses_missing_generators():
     with pytest.raises(ValueError, match="no generators"):
         GroupTable(((0, 1), (1, 0)), compose, inverse_perm, name="S_2")
     trivial = GroupTable(((0,),), compose, inverse_perm)
-    assert conjugacy_classes(trivial).num_classes == 1
+    assert len(conjugacy_classes(trivial)) == 1
 
 
 def test_conjugacy_classes_examples():
-    assert conjugacy_classes(enumerate_symmetric(3)).num_classes == 3
+    assert len(conjugacy_classes(enumerate_symmetric(3))) == 3
     cc4 = conjugacy_classes(enumerate_symmetric(4))
-    assert cc4.num_classes == 5
-    assert sorted(len(cls) for cls in cc4.classes) == [1, 3, 6, 6, 8]
-    assert conjugacy_classes(enumerate_symmetric(0)).num_classes == 1
+    assert len(cc4) == 5
+    assert sorted(len(cls) for cls in cc4) == [1, 3, 6, 6, 8]
+    assert len(conjugacy_classes(enumerate_symmetric(0))) == 1
 
 
 def test_conjugacy_classes_partition_the_table():
     for n in range(6):
         table = enumerate_symmetric(n)
         cc = conjugacy_classes(table)
-        seen = sorted(i for cls in cc.classes for i in cls)
+        seen = sorted(i for cls in cc for i in cls)
         assert seen == list(range(len(table)))
-        assert [cls[0] for cls in cc.classes] == sorted(cls[0] for cls in cc.classes)
-        for cls in cc.classes:
+        assert [cls[0] for cls in cc] == sorted(cls[0] for cls in cc)
+        for cls in cc:
             assert list(cls) == sorted(cls)
             rep_type = cycle_type(table.elements[cls[0]])
             assert all(cycle_type(table.elements[i]) == rep_type for i in cls)
@@ -152,7 +152,7 @@ def test_conjugacy_classes_partition_the_table():
 def test_class_count_equals_partition_count():
     for n in range(7):
         cc = conjugacy_classes(enumerate_symmetric(n))
-        assert cc.num_classes == partition_count(n)
+        assert len(cc) == partition_count(n)
 
 
 def test_generator_bfs_matches_full_orbit_sweep():
@@ -172,30 +172,54 @@ def test_commuting_pairs_examples():
     assert commuting_pairs_of(enumerate_symmetric(4)) == 120
 
 
-def test_commuting_pairs_grouped_equals_direct():
-    # S_0..S_5 fit DIRECT_PAIR_LIMIT and take the double loop; S_6, with 720
-    # elements, takes the count grouped over classes.
+def test_commuting_pairs_grouped_equals_double_loop():
     for n in range(7):
         table = enumerate_symmetric(n)
         assert commuting_pairs_of(table) == commuting_pairs_double_loop(table)
 
 
-def test_commuting_pairs_above_the_limit_reads_the_given_classes(monkeypatch):
-    table = enumerate_symmetric(6)
-    assert len(table) > permgroup.DIRECT_PAIR_LIMIT
-    cc = conjugacy_classes(table)
+def test_commuting_pairs_never_calls_conjugacy_classes(monkeypatch):
+    tables = [enumerate_symmetric(n) for n in range(7)] + [enumerate_wreath(2, 4)]
+    classes = [conjugacy_classes(table) for table in tables]
 
     def must_not_run(table):
         raise AssertionError("commuting_pairs recomputed the classes")
 
     monkeypatch.setattr(permgroup, "conjugacy_classes", must_not_run)
-    assert commuting_pairs(table, cc) == 720 * 11
+    for table, cc in zip(tables, classes):
+        assert commuting_pairs(table, cc) == len(table) * len(cc)
 
 
-def test_commuting_pairs_at_the_limit_reads_no_classes():
-    table = enumerate_symmetric(5)
-    assert len(table) <= permgroup.DIRECT_PAIR_LIMIT
-    assert commuting_pairs(table, ConjugacyClasses(classes=())) == 120 * 7
+def merge_two_equal_sized(classes):
+    """`classes` with the first two classes of equal size merged into one."""
+    for i, a in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            if len(classes[j]) == len(a):
+                merged = tuple(sorted(a + classes[j]))
+                rest = [c for k, c in enumerate(classes) if k not in (i, j)]
+                return tuple(sorted(rest + [merged]))
+    raise AssertionError("no two classes of equal size")
+
+
+def split_the_largest(classes):
+    """`classes` with the largest class cut into two halves."""
+    big = max(classes, key=len)
+    half = len(big) // 2
+    rest = [c for c in classes if c is not big]
+    return tuple(sorted(rest + [big[:half], big[half:]]))
+
+
+@pytest.mark.parametrize(
+    "table", [enumerate_symmetric(4), enumerate_wreath(2, 2)], ids=["S_4", "W(2,2)"]
+)
+@pytest.mark.parametrize("corrupt", [merge_two_equal_sized, split_the_largest])
+def test_pair_identity_catches_a_bad_class_partition(table, corrupt):
+    # Negative control: a merge of two equal-sized classes, or a split,
+    # leaves the grouped pair count exact but changes the class count.
+    cc = conjugacy_classes(table)
+    bad = corrupt(cc)
+    assert len(bad) != len(cc)
+    assert commuting_pairs(table, bad) != len(table) * len(bad)
 
 
 def test_centralizer_pairs_equals_double_loop():

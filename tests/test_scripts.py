@@ -14,7 +14,7 @@ from tricomm import wreath
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, timeout=60):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
@@ -23,7 +23,7 @@ def run_script(name, *args):
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -34,6 +34,15 @@ def test_wreath_census_honours_a_cap_above_the_table_default():
     assert result.returncode == 0, result.stderr
     assert "W(1,7)" in result.stdout
     assert "all groups consistent" in result.stdout
+
+
+def test_wreath_census_with_a_huge_m_max_stops_at_the_order_cap():
+    # Every W(t, m) above the 2000-element cap is skipped without computing
+    # its order in full, so m up to 20000 lists the same groups as m <= 8.
+    small = run_script("wreath_census.py", "--t-max", "2", "--m-max", "8")
+    huge = run_script("wreath_census.py", "--t-max", "2", "--m-max", "20000", timeout=10)
+    assert small.returncode == huge.returncode == 0, huge.stderr
+    assert huge.stdout == small.stdout
 
 
 @pytest.mark.parametrize("bound", [["--cap", "-1"], ["--t-max", "0"]])

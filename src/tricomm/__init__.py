@@ -12,7 +12,7 @@ and checks that all three agree coefficient by coefficient.
 """
 
 from .errors import CapExceeded
-from .numtheory import bound_check, divisors, log_coefficient, sigma
+from .numtheory import bound_check, divisors, sigma
 from .partitions import (
     Partition,
     centralizer_order,
@@ -36,7 +36,7 @@ from .pipeline import (
     verify_identity,
     verify_log,
 )
-from .series import IntSeries, RatSeries, partition_series
+from .series import IntSeries
 from .wreath import (
     WreathElement,
     class_label_of,
@@ -57,7 +57,6 @@ __all__ = [
     "GroupTable",
     "IntSeries",
     "Partition",
-    "RatSeries",
     "WreathElement",
     "bound_check",
     "centralizer_order",
@@ -77,9 +76,7 @@ __all__ = [
     "enumerate_wreath",
     "growth_report",
     "k_wreath",
-    "log_coefficient",
     "partition_count",
-    "partition_series",
     "sigma",
     "triples_centralizer",
     "triples_naive",

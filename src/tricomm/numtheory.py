@@ -1,14 +1,13 @@
-"""Divisor arithmetic: sigma, divisor lists, log-series coefficients, quartic bound.
+"""Divisor arithmetic: sigma, divisor lists, divisor weights, quartic bound.
 
-Everything here is exact integer / rational arithmetic.  Single values
-(`divisors`, `sigma`, `divisor_weight`) are found by trial division; there is
-no factorization fast path on purpose.  Range scans (`divisor_weights`, and
+Everything here is exact integer arithmetic.  Single values (`divisors`,
+`sigma`, `divisor_weight`) are found by trial division; there is no
+factorization fast path on purpose.  Range scans (`divisor_weights`, and
 `bound_check` on top of it) sieve instead: a smallest-prime-factor table and
 one multiplicative pass, so a scan never runs trial division.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple
 
@@ -50,7 +49,8 @@ def sigma(n: int) -> int:
 
 
 def divisor_weight(d: int, sigma_fn: Callable[[int], int] = sigma) -> int:
-    """sum(a * sigma(a) for a | d) -- the numerator of the log coefficient.
+    """sum(a * sigma(a) for a | d) -- d times the u^d coefficient of the
+    formal log of the sigma Euler product.
 
     `sigma_fn` stands in for `sigma`, so a caller holding a (possibly
     corrupted) sigma table gets the weight of that table.
@@ -58,14 +58,6 @@ def divisor_weight(d: int, sigma_fn: Callable[[int], int] = sigma) -> int:
     if d < 1:
         raise ValueError(f"divisor_weight requires d >= 1, got {d}")
     return sum(a * sigma_fn(a) for a in divisors(d))
-
-
-def log_coefficient(d: int) -> Fraction:
-    """Coefficient of u^d in the formal log of the sigma Euler product.
-
-    Equals sum(a*sigma(a) for a | d) / d, exact and in lowest terms.
-    """
-    return Fraction(divisor_weight(d), d)
 
 
 def divisor_weights(d_max: int) -> list[int]:

@@ -32,19 +32,6 @@ class Partition:
             mult[p] = mult.get(p, 0) + 1
         return mult
 
-    @classmethod
-    def from_multiplicities(cls, mult: dict[int, int]) -> "Partition":
-        parts = []
-        for t in sorted(mult, reverse=True):
-            m = mult[t]
-            if m < 0:
-                raise ValueError(f"negative multiplicity for part {t}")
-            parts.extend([t] * m)
-        return cls(tuple(parts))
-
-    def __str__(self) -> str:
-        return "[" + ",".join(map(str, self.parts)) + "]"
-
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, in descending lexicographic order of part lists.
@@ -73,7 +60,7 @@ def partition_numbers(n_max: int) -> list[int]:
     """p(0), ..., p(n_max) via Euler's pentagonal-number recurrence.
 
     Deliberately independent of `enumerate_partitions` and of the Euler
-    product `series.partition_series`, so each can cross-check the others.
+    product that the tests expand, so each can cross-check the others.
     """
     if n_max < 0:
         raise ValueError(f"cannot partition a negative integer: {n_max}")

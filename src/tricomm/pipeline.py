@@ -19,15 +19,13 @@ from . import numtheory, series
 from .errors import CapExceeded
 from .partitions import enumerate_partitions
 from .permgroup import DEFAULT_CENT_CAP, triples_centralizer
-from .series import SERIES_ORDER_CAP
 from .wreath import k_wreath, k_wreath_series
 
 
 def _require_series_order(order: int) -> None:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if order > SERIES_ORDER_CAP:
-        raise CapExceeded(f"series order {order}", "series-order cap", SERIES_ORDER_CAP)
+    series.require_order_within_cap(order, f"series order {order}")
 
 
 def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sigma) -> series.IntSeries:
@@ -92,25 +90,6 @@ def class_count_by_types(n: int) -> int:
             w *= k[t, m]
         total += w
     return total
-
-
-def coeffs_classes_series(order: int) -> series.IntSeries:
-    """Route B, series form: the truncated product of P(u^t)^t over t.
-
-    Factors with t > order are 1 modulo u^(order+1).  It shares only
-    `series.mul` with the canonical form: P is the Euler product, not the
-    pentagonal recurrence; P^t is powered by squaring, not as a running
-    product; factors are multiplied as series, not by in-place row updates.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    p = series.partition_series(order)
-    result = series.one(order)
-    for t in range(1, order + 1):
-        p_t = series.power(p.truncate(order // t), t, order // t)
-        factor = series.substitute_power(p_t, t, order)
-        result = series.mul(result, factor, order)
-    return result
 
 
 def coeffs_brute(n_max: int, *, cap: int = DEFAULT_CENT_CAP) -> list[int]:

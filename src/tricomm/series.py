@@ -1,13 +1,14 @@
-"""Truncated dense formal power series with exact coefficients.
+"""Truncated dense formal power series with integer coefficients.
 
 Index k of `coeffs` holds the u^k coefficient; a series of order N carries
-exactly N+1 coefficients.  All arithmetic is exact (Python ints and
-`fractions.Fraction`); truncation order is an explicit argument everywhere
-and operations never silently extend a series.
+exactly N+1 coefficients.  All arithmetic is exact Python integers;
+truncation order is an explicit argument everywhere and operations never
+silently extend a series.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .errors import CapExceeded
 
 # Largest series order that routes A and B (`expand`, `classes`, `verify`,
 # `log-check`, `growth`) and the wreath class counts accept; refused before
@@ -16,6 +17,13 @@ from fractions import Fraction
 # (Python 3.11); time grows about as order^2.3, so the cap keeps it well
 # inside the 60 s budget.
 SERIES_ORDER_CAP = 4000
+
+
+def require_order_within_cap(order: int, subject: str) -> None:
+    """Refuse an `order` above SERIES_ORDER_CAP; `subject` names it in the
+    refusal."""
+    if order > SERIES_ORDER_CAP:
+        raise CapExceeded(subject, "series-order cap", SERIES_ORDER_CAP)
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,31 +50,8 @@ class IntSeries:
         _require_order(self, order)
         return IntSeries(self.coeffs[: order + 1])
 
-    def to_rational(self) -> "RatSeries":
-        return RatSeries(tuple(Fraction(c) for c in self.coeffs))
 
-
-@dataclass(frozen=True, slots=True)
-class RatSeries:
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if any(isinstance(c, float) for c in self.coeffs):
-            raise TypeError("exact rationals only, no floating point")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if not coeffs:
-            raise ValueError("a series carries at least the constant term")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-
-def _require_order(f, order: int) -> None:
+def _require_order(f: IntSeries, order: int) -> None:
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
     if f.order < order:
@@ -167,60 +152,4 @@ def power(f: IntSeries, t: int, order: int) -> IntSeries:
         e >>= 1
         if e:
             base = mul(base, base, order)
-    return result
-
-
-def substitute_power(f: IntSeries, t: int, order: int) -> IntSeries:
-    """Substitute u -> u^t: the u^(k*t) coefficient becomes f[k], rest zero.
-
-    Only f's coefficients up to floor(order / t) are consulted.
-    """
-    if t < 1:
-        raise ValueError(f"substitution step t must be >= 1, got {t}")
-    _require_order(f, order // t)
-    out = [0] * (order + 1)
-    for k in range(order // t + 1):
-        out[k * t] = f.coeffs[k]
-    return IntSeries(tuple(out))
-
-
-def log(f: IntSeries, order: int) -> RatSeries:
-    """Formal logarithm of a series with constant term 1.
-
-    Uses the derivative recurrence n*l_n = n*f_n - sum(k*l_k*f_{n-k}, k<n).
-    """
-    _require_order(f, order)
-    if f.coeffs[0] != 1:
-        raise ValueError("log requires constant term 1")
-    fc = f.coeffs
-    lc: list[Fraction] = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        acc = n * Fraction(fc[n])
-        for k in range(1, n):
-            acc -= k * lc[k] * fc[n - k]
-        lc[n] = acc / n
-    return RatSeries(tuple(lc))
-
-
-def exp(f: RatSeries, order: int) -> RatSeries:
-    """Formal exponential of a series with constant term 0."""
-    _require_order(f, order)
-    if f.coeffs[0] != 0:
-        raise ValueError("exp requires constant term 0")
-    fc = f.coeffs
-    out: list[Fraction] = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += k * fc[k] * out[n - k]
-        out[n] = acc / n
-    return RatSeries(tuple(out))
-
-
-def partition_series(order: int) -> IntSeries:
-    """sum(p(d) * u^d) truncated at `order`, as the Euler product
-    prod((1 - u^s)^(-1) for s = 1..order)."""
-    result = one(order)
-    for s in range(1, order + 1):
-        result = mul(result, neg_binomial_factor(s, 1, order), order)
     return result

@@ -197,9 +197,9 @@ def _check_series_order(t: int, m_max: int) -> None:
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m_max < 0:
         raise ValueError(f"point count must be >= 0, got {m_max}")
-    if t * m_max > series.SERIES_ORDER_CAP:
-        what = f"W({t},{m_max}) class count with t*m = {t * m_max}"
-        raise CapExceeded(what, "series-order cap", series.SERIES_ORDER_CAP)
+    series.require_order_within_cap(
+        t * m_max, f"W({t},{m_max}) class count with t*m = {t * m_max}"
+    )
 
 
 def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
@@ -219,9 +219,6 @@ class WreathClassLabel:
     multiplicity of the invariant (z, L)."""
 
     lambdas: tuple[Partition, ...]
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.lambdas) + ")"
 
 
 # Shared by every residue that carries no cycle: t - 1 per label of W(t, 1).

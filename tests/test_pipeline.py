@@ -3,8 +3,9 @@ from math import factorial
 
 import pytest
 
+import helpers
 from helpers import coeffs_product_by_mul
-from tricomm import numtheory, permgroup, pipeline, series
+from tricomm import numtheory, partitions, permgroup, pipeline, series, wreath
 from tricomm.errors import CapExceeded
 from tricomm.partitions import Partition, centralizer_order
 from tricomm.permgroup import permutation_of_type, triples_centralizer, triples_naive
@@ -62,7 +63,7 @@ def test_class_count_by_types_matches_canonical():
 
 
 def test_classes_series_form_matches_canonical():
-    assert pipeline.coeffs_classes_series(30) == pipeline.coeffs_classes(30)
+    assert helpers.coeffs_classes_series(30) == pipeline.coeffs_classes(30)
 
 
 def test_coeffs_brute_examples():
@@ -134,7 +135,7 @@ def test_verify_identity_corrupted_sigma_in_either_branch(j, prefix_passes):
 
 
 def test_verify_log_small_values():
-    logged = series.log(pipeline.coeffs_product(4), 4)
+    logged = helpers.log(pipeline.coeffs_product(4).coeffs, 4)
     assert logged[1] == 1
     assert logged[2] == Fraction(7, 2)
     assert pipeline.verify_log(15).ok
@@ -143,9 +144,9 @@ def test_verify_log_small_values():
 def test_verify_log_detects_corruption_against_true_table():
     # Corrupt only the series side; the divisor formula keeps the honest
     # sigma, so the mismatch surfaces at the corrupted index.
-    logged = series.log(pipeline.coeffs_product(8, sigma_fn=corrupt_sigma_at(3)), 8)
+    logged = helpers.log(pipeline.coeffs_product(8, sigma_fn=corrupt_sigma_at(3)).coeffs, 8)
     bad = [
-        d for d in range(1, 9) if logged[d] != numtheory.log_coefficient(d)
+        d for d in range(1, 9) if logged[d] != helpers.log_coefficient(d)
     ]
     assert bad and bad[0] == 3
 
@@ -170,8 +171,8 @@ def test_verify_log_first_mismatch_is_first_log_mismatch(monkeypatch):
     # where the formal log first leaves the divisor formula.
     bad = series.IntSeries((1, 1, 4, 9, 21, 0, 3))
     monkeypatch.setattr(pipeline, "coeffs_product", lambda order, **kwargs: bad)
-    logged = series.log(bad, 6)
-    first = next(d for d in range(1, 7) if logged[d] != numtheory.log_coefficient(d))
+    logged = helpers.log(bad.coeffs, 6)
+    first = next(d for d in range(1, 7) if logged[d] != helpers.log_coefficient(d))
     assert pipeline.verify_log(6).first_mismatch == first == 3
 
 
@@ -199,7 +200,7 @@ def test_series_order_cap_refuses_before_any_work(monkeypatch, run):
     for name in ("accumulate", "k_wreath_series", "triples_centralizer"):
         monkeypatch.setattr(pipeline, name, must_not_run)
     with pytest.raises(CapExceeded, match="series-order cap"):
-        run(pipeline.SERIES_ORDER_CAP + 1)
+        run(series.SERIES_ORDER_CAP + 1)
 
 
 def test_growth_report_examples():
@@ -246,3 +247,21 @@ def test_routes_b_and_c_never_reach_sigma(monkeypatch):
     monkeypatch.setattr(numtheory, "sigma", forbidden)
     assert pipeline.coeffs_classes(60).coeffs == expected
     assert tuple(pipeline.coeffs_brute(7)) == A061256_PREFIX[:8]
+
+
+def test_oracles_never_reach_the_code_they_check(monkeypatch):
+    # Route B's series form and the partition Euler product must not call
+    # the route B or the partition numbers that they cross-check.
+    classes = pipeline.coeffs_classes(30)
+    numbers = tuple(partitions.partition_numbers(60))
+    assert classes.coeffs[:9] == A061256_PREFIX and numbers[60] == 966467
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cross-check reached the code it checks")
+
+    monkeypatch.setattr(partitions, "partition_numbers", forbidden)
+    monkeypatch.setattr(pipeline, "coeffs_classes", forbidden)
+    monkeypatch.setattr(wreath, "k_wreath_series", forbidden)
+    monkeypatch.setattr(series, "imul_substituted", forbidden)
+    assert helpers.coeffs_classes_series(30) == classes
+    assert helpers.partition_series(60).coeffs == numbers

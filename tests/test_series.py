@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from tricomm import series
 from tricomm.partitions import enumerate_partitions, partition_count
-from tricomm.series import IntSeries, RatSeries
+from tricomm.series import IntSeries
 
 
 @st.composite
@@ -51,8 +52,6 @@ def test_mul_rejects_short_operands():
 def test_series_reject_inexact_coefficients():
     with pytest.raises(TypeError):
         IntSeries((1, 0.5))
-    with pytest.raises(TypeError):
-        RatSeries((Fraction(1), 0.5))
 
 
 @given(same_order_series(count=2))
@@ -188,16 +187,16 @@ def test_neg_binomial_inverts_binomial_power():
 def test_power_examples():
     assert series.power(IntSeries((5, 3)), 0, 3) == series.one(3)
     assert series.power(IntSeries((1, 1, 0)), 2, 2).coeffs == (1, 2, 1)
-    p = series.partition_series(2)
+    p = helpers.partition_series(2)
     assert series.power(p, 2, 2)[2] == 5
 
 
 def test_substitute_power_examples():
-    assert series.substitute_power(IntSeries((1, 1)), 3, 3).coeffs == (1, 0, 0, 1)
-    p = series.partition_series(4)
-    assert series.substitute_power(p, 2, 4).coeffs == (1, 0, 1, 0, 2)
+    assert helpers.substitute_power(IntSeries((1, 1)), 3, 3).coeffs == (1, 0, 0, 1)
+    p = helpers.partition_series(4)
+    assert helpers.substitute_power(p, 2, 4).coeffs == (1, 0, 1, 0, 2)
     f = IntSeries((2, -1, 3))
-    assert series.substitute_power(f, 1, 2) == f
+    assert helpers.substitute_power(f, 1, 2) == f
 
 
 @given(same_order_series(count=1, max_order=24), st.integers(1, 6))
@@ -208,33 +207,38 @@ def test_substitute_power_ignores_high_coefficients(data, t):
     twisted = IntSeries(
         f.coeffs[: keep + 1] + tuple(c + 17 for c in f.coeffs[keep + 1 :])
     )
-    assert series.substitute_power(f, t, order) == series.substitute_power(
+    assert helpers.substitute_power(f, t, order) == helpers.substitute_power(
         twisted, t, order
     )
 
 
+def all_fractions(coeffs) -> bool:
+    return all(type(c) is Fraction for c in coeffs)
+
+
 def test_log_examples():
-    assert series.log(series.one(3), 3).coeffs == (0, 0, 0, 0)
-    mercator = series.log(series.neg_binomial_factor(1, 1, 4), 4)
-    assert mercator.coeffs == (
+    assert helpers.log(series.one(3).coeffs, 3) == (0, 0, 0, 0)
+    mercator = helpers.log(series.neg_binomial_factor(1, 1, 4).coeffs, 4)
+    assert mercator == (
         Fraction(0),
         Fraction(1),
         Fraction(1, 2),
         Fraction(1, 3),
         Fraction(1, 4),
     )
+    assert all_fractions(mercator)
 
 
 def test_log_requires_unit_constant_term():
     with pytest.raises(ValueError):
-        series.log(IntSeries((2, 1)), 1)
+        helpers.log((2, 1), 1)
 
 
 def test_exp_examples():
-    zero = RatSeries((Fraction(0),) * 4)
-    assert series.exp(zero, 3).coeffs == (1, 0, 0, 0)
-    u = RatSeries((Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
-    assert series.exp(u, 3).coeffs == (
+    zero = (Fraction(0),) * 4
+    assert helpers.exp(zero, 3) == (1, 0, 0, 0)
+    u = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    assert helpers.exp(u, 3) == (
         Fraction(1),
         Fraction(1),
         Fraction(1, 2),
@@ -244,28 +248,34 @@ def test_exp_examples():
 
 def test_exp_requires_zero_constant_term():
     with pytest.raises(ValueError):
-        series.exp(RatSeries((Fraction(1), Fraction(0))), 1)
+        helpers.exp((Fraction(1), Fraction(0)), 1)
 
 
 def test_exp_log_roundtrip_binomial():
-    f = series.neg_binomial_factor(2, 3, 10)
-    assert series.exp(series.log(f, 10), 10) == f.to_rational()
+    f = series.neg_binomial_factor(2, 3, 10).coeffs
+    logged = helpers.log(f, 10)
+    roundtrip = helpers.exp(logged, 10)
+    assert roundtrip == f
+    assert all_fractions(logged) and all_fractions(roundtrip)
 
 
 @given(same_order_series(count=1, max_order=30))
 def test_exp_log_roundtrip_random(data):
     (f,), order = data
-    unit = IntSeries((1,) + f.coeffs[1:])
-    assert series.exp(series.log(unit, order), order) == unit.to_rational()
+    unit = (1,) + f.coeffs[1:]
+    logged = helpers.log(unit, order)
+    roundtrip = helpers.exp(logged, order)
+    assert roundtrip == unit
+    assert all_fractions(logged) and all_fractions(roundtrip)
 
 
 def test_partition_series_examples():
-    assert series.partition_series(0).coeffs == (1,)
-    assert series.partition_series(5).coeffs == (1, 1, 2, 3, 5, 7)
-    assert series.partition_series(10)[10] == 42
+    assert helpers.partition_series(0).coeffs == (1,)
+    assert helpers.partition_series(5).coeffs == (1, 1, 2, 3, 5, 7)
+    assert helpers.partition_series(10)[10] == 42
 
 
 def test_partition_series_matches_counts():
-    p = series.partition_series(60)
+    p = helpers.partition_series(60)
     for d in range(61):
         assert p[d] == partition_count(d)

@@ -5,12 +5,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import wreath_family
+from helpers import partition_series, substitute_power, wreath_family
 from tricomm import wreath
 from tricomm.errors import CapExceeded
 from tricomm.partitions import Partition, partition_count
 from tricomm.permgroup import conjugacy_classes
-from tricomm.series import partition_series, power, substitute_power
+from tricomm.series import power
 from tricomm.wreath import (
     WreathElement,
     class_label_of,

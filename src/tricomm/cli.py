@@ -68,9 +68,15 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def _sigma_fn(args):
+    """sigma, or the negative control's sigma with sigma(J) raised by one.
+
+    A J outside 1..N would leave route A untouched and the control could not
+    fire, so it is refused before any work."""
     corrupt = getattr(args, "corrupt_sigma", None)
     if corrupt is None:
         return numtheory.sigma
+    if not 1 <= corrupt <= args.order:
+        raise ValueError(f"--corrupt-sigma must lie in 1..{args.order}, got {corrupt}")
     return lambda n: numtheory.sigma(n) + (1 if n == corrupt else 0)
 
 

@@ -50,7 +50,7 @@ def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sig
                 for r in range(j):
                     out[r::j] = accumulate(out[r::j])
         else:
-            row = series.neg_binomial_factor(1, s, order // j).coeffs
+            row = series.neg_binomial_factor(s, order // j).coeffs
             series.imul_substituted(out, row, j)
     return series.IntSeries(tuple(out))
 

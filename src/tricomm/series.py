@@ -3,7 +3,9 @@
 Index k of `coeffs` holds the u^k coefficient; a series of order N carries
 exactly N+1 coefficients.  All arithmetic is exact Python integers;
 truncation order is an explicit argument everywhere and operations never
-silently extend a series.
+silently extend a series.  The module holds what routes A and B run: the
+dense product `mul`, the in-place product with a row in u^step
+(`imul_substituted`), the factor (1 - u)^(-s) and the series-order cap.
 """
 
 from dataclasses import dataclass
@@ -46,10 +48,6 @@ class IntSeries:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "IntSeries":
-        _require_order(self, order)
-        return IntSeries(self.coeffs[: order + 1])
-
 
 def _require_order(f: IntSeries, order: int) -> None:
     if order < 0:
@@ -68,27 +66,18 @@ def one(order: int) -> IntSeries:
 
 
 def mul(f: IntSeries, g: IntSeries, order: int) -> IntSeries:
-    """Cauchy product truncated at `order`, over nonzero terms only.
+    """Cauchy product truncated at `order`.
 
-    The operand with fewer nonzero terms drives the outer loop; the inner
-    loop walks the other operand's nonzero terms and stops once the index
-    passes `order`.  A factor (1 - u^j)^(-s) has order//j + 1 nonzero terms,
-    so a product of such factors over j = 1..N costs O(N^2 log N); a dense
-    by dense product costs O(N^2).
+    Each nonzero term of `f` adds its multiple of `g`, shifted, as one
+    whole-row update; zero terms of `f` are skipped, so `mul(one(n), g, n)`
+    costs O(n).  Terms of either operand past `order` are ignored.
     """
     _require_order(f, order)
     _require_order(g, order)
-    outer = _nonzero_terms(f, order)
-    inner = _nonzero_terms(g, order)
-    if len(outer) > len(inner):
-        outer, inner = inner, outer
     out = [0] * (order + 1)
-    for i, a in outer:
-        limit = order - i
-        for j, b in inner:
-            if j > limit:
-                break
-            out[i + j] += a * b
+    for i, a in enumerate(f.coeffs[: order + 1]):
+        if a:
+            out[i:] = [c + a * b for c, b in zip(out[i:], g.coeffs)]
     return IntSeries(tuple(out))
 
 
@@ -109,47 +98,17 @@ def imul_substituted(out: list[int], row, step: int) -> None:
             out[shift:] = [a + c * b for a, b in zip(out[shift:], before)]
 
 
-def _nonzero_terms(f: IntSeries, order: int) -> list[tuple[int, int]]:
-    """(index, coefficient) pairs of the nonzero terms up to `order`, ascending."""
-    return [(k, c) for k, c in enumerate(f.coeffs[: order + 1]) if c]
+def neg_binomial_factor(s: int, order: int) -> IntSeries:
+    """(1 - u)^(-s) truncated at `order`.
 
-
-def neg_binomial_factor(j: int, s: int, order: int) -> IntSeries:
-    """(1 - u^j)^(-s) truncated at `order`.
-
-    The u^(j*k) coefficient is C(s+k-1, k), built incrementally by exact
+    The u^k coefficient is C(s+k-1, k), built incrementally by exact
     multiply/divide so no factorials blow up.
     """
-    if j < 1:
-        raise ValueError(f"exponent step j must be >= 1, got {j}")
     if s < 1:
         raise ValueError(f"power s must be >= 1, got {s}")
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
-    out = [0] * (order + 1)
-    c = 1
-    k = 0
-    while j * k <= order:
-        out[j * k] = c
-        k += 1
-        c = c * (s + k - 1) // k
+    out = [1]
+    for k in range(1, order + 1):
+        out.append(out[-1] * (s + k - 1) // k)
     return IntSeries(tuple(out))
-
-
-def power(f: IntSeries, t: int, order: int) -> IntSeries:
-    """f**t truncated at `order`; t = 0 gives the constant series 1."""
-    if t < 0:
-        raise ValueError(f"power requires t >= 0, got {t}")
-    if t == 0:
-        return one(order)
-    _require_order(f, order)
-    result = one(order)
-    base = f.truncate(order)
-    e = t
-    while e:
-        if e & 1:
-            result = mul(result, base, order)
-        e >>= 1
-        if e:
-            base = mul(base, base, order)
-    return result

@@ -192,24 +192,32 @@ def k_wreath(t: int, m: int) -> int:
 
 def _check_series_order(t: int, m_max: int) -> None:
     """Refuse a class-count row W(t, 0..m_max) that is malformed or whose
-    t*m_max is above the series-order cap."""
+    t*max(m_max, 1) is above the series-order cap: the row takes t - 1
+    multiplies, so t itself is bounded even when m_max is 0."""
     if t < 1:
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m_max < 0:
         raise ValueError(f"point count must be >= 0, got {m_max}")
+    size = f"t*m = {t * m_max}" if m_max else f"t = {t}"
     series.require_order_within_cap(
-        t * m_max, f"W({t},{m_max}) class count with t*m = {t * m_max}"
+        t * max(m_max, 1), f"W({t},{m_max}) class count with {size}"
     )
 
 
 def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
-    """Class counts of W(t, m) for all m <= m_max, as one series power.
+    """Class counts of W(t, m) for all m <= m_max: the partition series P
+    raised to the power t as a running product, t - 1 multiplies by P, as
+    route B builds its rows.
 
-    Route B reads no row with t*m above its order, so t*m_max is held to the
-    series-order cap, refused before any work.
+    Route B reads no row with t*m above its order, so t*max(m_max, 1) is
+    held to the series-order cap, refused before any work.
     """
     _check_series_order(t, m_max)
-    return series.power(series.IntSeries(tuple(partition_numbers(m_max))), t, m_max)
+    p = series.IntSeries(tuple(partition_numbers(m_max)))
+    row = p
+    for _ in range(t - 1):
+        row = series.mul(row, p, m_max)
+    return row
 
 
 @dataclass(frozen=True)

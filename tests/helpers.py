@@ -2,10 +2,11 @@
 
 The oracles here are what the cross-checks compare the library against, so
 they call no route of it: route B's series form and the partition Euler
-product share only `series.mul`, `series.power` and the trivial builders
-`series.one` and `series.neg_binomial_factor` with production.  Formal
-log/exp work on plain tuples of `Fraction`; the library itself is
-integer-only.
+product share only the dense product `series.mul` and the trivial builders
+`series.one` and `series.neg_binomial_factor` with production.  P^t is
+powered here by repeated squaring (`power`), where production builds it as
+a running product.  Formal log/exp work on plain tuples of `Fraction`; the
+library itself is integer-only.
 """
 
 from fractions import Fraction
@@ -61,13 +62,13 @@ def conjugacy_classes_full_sweep(table):
 
 
 def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSeries:
-    """Reference route A: each factor (1 - u^j)^(-sigma_fn(j)) built whole
-    by `neg_binomial_factor` and multiplied in with `series.mul`; no
-    in-place update."""
+    """Reference route A: each factor (1 - u^j)^(-sigma_fn(j)) built whole,
+    as `neg_binomial_factor` with u -> u^j, and multiplied in with
+    `series.mul`, the sparse factor first; no in-place update."""
     result = series.one(order)
     for j in range(1, order + 1):
-        factor = series.neg_binomial_factor(j, sigma_fn(j), order)
-        result = series.mul(result, factor, order)
+        factor = substitute_power(series.neg_binomial_factor(sigma_fn(j), order // j), j, order)
+        result = series.mul(factor, result, order)
     return result
 
 
@@ -88,19 +89,35 @@ def substitute_power(f: series.IntSeries, t: int, order: int) -> series.IntSerie
     return series.IntSeries(tuple(out))
 
 
+def power(f: series.IntSeries, t: int, order: int) -> series.IntSeries:
+    """Reference f**t truncated at `order`, by repeated squaring; t = 0 gives
+    the constant series 1."""
+    if t < 0:
+        raise ValueError(f"power requires t >= 0, got {t}")
+    result = series.one(order)
+    base = f
+    while t:
+        if t & 1:
+            result = series.mul(result, base, order)
+        t >>= 1
+        if t:
+            base = series.mul(base, base, order)
+    return result
+
+
 def coeffs_classes_series(order: int) -> series.IntSeries:
     """Reference route B, series form: the truncated product of P(u^t)^t
     over t = 1..order.
 
     P is the Euler product, not the pentagonal recurrence; P^t is powered by
     squaring, not as a running product; factors are multiplied as series,
-    not by in-place row updates.
+    sparse factor first, not by in-place row updates.
     """
     p = partition_series(order)
     result = series.one(order)
     for t in range(1, order + 1):
-        p_t = series.power(p.truncate(order // t), t, order // t)
-        result = series.mul(result, substitute_power(p_t, t, order), order)
+        p_t = power(p, t, order // t)
+        result = series.mul(substitute_power(p_t, t, order), result, order)
     return result
 
 

@@ -99,6 +99,19 @@ def test_verify_corrupted_sigma_names_index(capsys):
     assert "FAILED" in out
 
 
+@pytest.mark.parametrize("command", [["expand", "-N", "5"], ["verify", "-N", "5", "-K", "2"]])
+@pytest.mark.parametrize("j", ["0", "-3", "6"])
+def test_corrupt_sigma_outside_the_order_is_refused_before_any_work(command, j, capsys, monkeypatch):
+    # sigma(J) for J outside 1..N never enters route A: the control could not fire.
+    def must_not_run(order, **kwargs):
+        raise AssertionError("route A ran before the --corrupt-sigma refusal")
+
+    monkeypatch.setattr(pipeline, "coeffs_product", must_not_run)
+    code, out, err = run(capsys, *command, "--corrupt-sigma", j)
+    assert (code, out) == (2, "")
+    assert err == f"error: --corrupt-sigma must lie in 1..5, got {j}\n"
+
+
 def test_verify_corrupted_wreath_row_names_index(capsys, monkeypatch):
     # Negative control for route B: k(W(1, 5)) = p(5) one too high first
     # shows at u^5.  Every later row is built from row 1.
@@ -232,6 +245,7 @@ def test_wreath_without_brute(capsys):
     code, out, _ = run(capsys, "wreath", "7", "0")
     assert code == 0
     assert "= 1" in out
+    assert run(capsys, "wreath", "4000", "0") == (0, "k(W(4000,0)) = 1\n", "")
 
 
 def test_wreath_brute_above_cap_refused(capsys):
@@ -255,6 +269,21 @@ def test_wreath_above_series_order_cap_refused(argv, capsys):
     assert out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
     assert "series-order cap=4000" in err
+
+
+@pytest.mark.parametrize("argv", [["wreath", "4001", "0"], ["wreath", "1000000000", "0", "--brute"]])
+def test_wreath_modulus_above_series_order_cap_refused_at_m_zero(argv):
+    # P^t takes t - 1 multiplies even at m = 0, so t alone is held to the cap.
+    result = subprocess.run(
+        [sys.executable, "-m", "tricomm.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("refused: ") and result.stderr.count("\n") == 1
+    assert f"class count with t = {argv[1]} exceeds series-order cap=4000" in result.stderr
 
 
 def test_wreath_brute_refuses_on_the_table_cap_before_any_series_work(capsys, monkeypatch):

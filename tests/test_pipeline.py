@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +266,11 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
     monkeypatch.setattr(series, "imul_substituted", forbidden)
     assert helpers.coeffs_classes_series(30) == classes
     assert helpers.partition_series(60).coeffs == numbers
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "verify_identity" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -5,12 +5,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import partition_series, substitute_power, wreath_family
+from helpers import partition_series, power, substitute_power, wreath_family
 from tricomm import wreath
 from tricomm.errors import CapExceeded
 from tricomm.partitions import Partition, partition_count
 from tricomm.permgroup import conjugacy_classes
-from tricomm.series import power
 from tricomm.wreath import (
     WreathElement,
     class_label_of,
@@ -205,9 +204,10 @@ def test_k_wreath_substituted_series_consistency():
 
 
 def test_k_wreath_series_matches_fresh_power():
-    for t in range(1, 6):
-        for m in range(0, 31):
-            assert wreath.k_wreath_series(t, m) == power(partition_series(m), t, m)
+    # The running product against powering by squaring, up to the cap corners.
+    cases = [(t, m) for t in range(1, 6) for m in range(0, 31)]
+    for t, m in cases + [(4000, 1), (63, 63), (16, 250), (2, 1000)]:
+        assert wreath.k_wreath_series(t, m) == power(partition_series(m), t, m)
 
 
 def test_k_wreath_series_cap_refuses_before_any_work(monkeypatch):
@@ -221,6 +221,8 @@ def test_k_wreath_series_cap_refuses_before_any_work(monkeypatch):
         k_wreath(2, 2001)
     with pytest.raises(CapExceeded, match="series-order cap=4000"):
         wreath.k_wreath_series(4001, 1)
+    with pytest.raises(CapExceeded, match=r"W\(4001,0\) class count with t = 4001 exceeds"):
+        wreath.k_wreath_series(4001, 0)
 
 
 def test_enumerate_class_labels_examples():

@@ -39,8 +39,6 @@ from .pipeline import (
 from .series import IntSeries
 from .wreath import (
     WreathElement,
-    class_label_of,
-    conjugate_by_invariants,
     cycle_sum_invariants,
     enumerate_class_labels,
     enumerate_wreath,
@@ -60,13 +58,11 @@ __all__ = [
     "WreathElement",
     "bound_check",
     "centralizer_order",
-    "class_label_of",
     "coeffs_brute",
     "coeffs_classes",
     "coeffs_product",
     "commuting_pairs",
     "conjugacy_classes",
-    "conjugate_by_invariants",
     "cycle_sum_invariants",
     "cycle_type",
     "divisors",

@@ -1,9 +1,9 @@
 """Command-line surface: compute, verify and export the coefficient data.
 
-Exit codes: 0 success / verified, 1 mathematical disagreement, 2 I/O or
-usage failure, 3 resource-cap refusal, 4 internal error (any other
-exception, reported on stderr without a traceback), so exit 1 never means
-a crash.  All data output is deterministic -- no
+Exit codes: 0 success / verified, 1 mathematical disagreement, 2 I/O
+(stdout included) or usage failure, 3 resource-cap refusal, 4 internal
+error (any other exception, reported on stderr without a traceback), so
+exit 1 never means a crash.  All data output is deterministic -- no
 timestamps, full-precision decimal integers -- so identical invocations
 produce byte-identical files.
 """
@@ -311,12 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

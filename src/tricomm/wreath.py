@@ -11,8 +11,9 @@ permuted positions", consistent with `permgroup.compose`.
 
 Conjugacy is decided by cycle sums: each cycle c of the permutation part
 contributes the pair (sum of colors over c mod t, len(c)), and the multiset
-of these pairs is a complete conjugacy invariant.  Equivalently, the class
-is named by a t-tuple of partitions (one per residue) with total size m.
+of these pairs is a complete conjugacy invariant.  A class is named by this
+multiset as a sorted pair tuple: the same data as a t-tuple of partitions of
+total size m, residue z's partition listing the lengths paired with z.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from . import series
 from .errors import CapExceeded
-from .partitions import Partition, enumerate_partitions, partition_numbers
+from .partitions import enumerate_partitions, partition_numbers
 from .permgroup import (
     GroupTable,
     commuting_pairs,
@@ -58,22 +59,11 @@ def wreath_element(colors, perm, modulus: int) -> WreathElement:
     return WreathElement(colors, perm, modulus)
 
 
-def w_identity(t: int, m: int) -> WreathElement:
-    return WreathElement((0,) * m, identity_perm(m), t)
-
-
-def _check_compatible(x: WreathElement, y: WreathElement) -> None:
-    if x.modulus != y.modulus or len(x.colors) != len(y.colors):
-        raise ValueError(
-            f"elements of W({x.modulus},{len(x.colors)}) and "
-            f"W({y.modulus},{len(y.colors)}) do not multiply"
-        )
-
-
 def w_mul(x: WreathElement, y: WreathElement) -> WreathElement:
     ax, ex, t = x
-    ay, ey, _ = y
-    _check_compatible(x, y)
+    ay, ey, u = y
+    if t != u or len(ax) != len(ay):
+        raise ValueError(f"elements of W({t},{len(ax)}) and W({u},{len(ay)}) do not multiply")
     ex_inv = inverse_perm(ex)
     colors = tuple((a + ay[j]) % t for a, j in zip(ax, ex_inv))
     return WreathElement(colors, tuple(map(ex.__getitem__, ey)), t)
@@ -111,13 +101,6 @@ def cycle_sum_invariants(x: WreathElement) -> tuple[tuple[int, int], ...]:
         (sum(a[i] for i in cycle) % t, len(cycle)) for cycle in perm_cycles(e)
     ]
     return tuple(sorted(pairs))
-
-
-def conjugate_by_invariants(x: WreathElement, y: WreathElement) -> bool:
-    """True iff x and y are conjugate in W(t, m), decided entirely by
-    comparing cycle-sum invariant multisets."""
-    _check_compatible(x, y)
-    return cycle_sum_invariants(x) == cycle_sum_invariants(y)
 
 
 def _wreath_generators(t: int, m: int) -> tuple[WreathElement, ...]:
@@ -183,8 +166,9 @@ def wreath_family(order_cap: int, t_max: int, m_max: int) -> list[tuple[int, int
 def k_wreath(t: int, m: int) -> int:
     """Number of conjugacy classes of W(t, m), by coefficient extraction.
 
-    Classes are named by t-tuples of partitions with total size m, so the
-    count is the u^m coefficient of the t-th power of the partition series.
+    A class name carries the data of a t-tuple of partitions of total size
+    m, so the count is the u^m coefficient of the t-th power of the
+    partition series.
     Never computed by group enumeration.
     """
     return k_wreath_series(t, m)[m]
@@ -220,33 +204,11 @@ def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     return row
 
 
-@dataclass(frozen=True)
-class WreathClassLabel:
-    """Canonical name of a W(t, m) conjugacy class: one partition per
-    residue z, where the multiplicity of part L in partition z equals the
-    multiplicity of the invariant (z, L)."""
-
-    lambdas: tuple[Partition, ...]
-
-
-# Shared by every residue that carries no cycle: t - 1 per label of W(t, 1).
-_EMPTY = Partition(())
-
-
-def _label(t: int, pairs) -> WreathClassLabel:
-    """The label of the class whose (residue, cycle length) pairs are `pairs`."""
-    lengths: list[list[int]] = [[] for _ in range(t)]
-    for residue, length in pairs:
-        lengths[residue].append(length)
-    return WreathClassLabel(
-        tuple(Partition(tuple(sorted(ls, reverse=True))) if ls else _EMPTY for ls in lengths)
-    )
-
-
-def enumerate_class_labels(t: int, m: int) -> list[WreathClassLabel]:
-    """All t-tuples of partitions with total size m, as colored partitions:
-    a partition of m whose k parts of each length carry a multiset of k
-    residues.
+def enumerate_class_labels(t: int, m: int) -> list[tuple[tuple[int, int], ...]]:
+    """The name of every W(t, m) class, listed as colored partitions: a
+    partition of m whose k parts of each length carry a multiset of k
+    residues.  Each name is the sorted tuple of (residue, length) pairs, the
+    format of `cycle_sum_invariants`.
 
     Deterministic order: partitions of m in `enumerate_partitions` order;
     within one, each part length (longest first) runs through its residue
@@ -257,23 +219,22 @@ def enumerate_class_labels(t: int, m: int) -> list[WreathClassLabel]:
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m < 0:
         raise ValueError(f"point count must be >= 0, got {m}")
-    out: list[WreathClassLabel] = []
+    out = []
     for p in enumerate_partitions(m):
         mult = p.multiplicities()
         choices = [itertools.combinations_with_replacement(range(t), k) for k in mult.values()]
         for residues in itertools.product(*choices):
             pairs = [(z, length) for length, zs in zip(mult, residues) for z in zs]
-            out.append(_label(t, pairs))
+            out.append(tuple(sorted(pairs)))
     return out
-
-
-def class_label_of(x: WreathElement) -> WreathClassLabel:
-    return _label(x.modulus, cycle_sum_invariants(x))
 
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Full brute-force cross-check of one wreath group's class structure."""
+    """Full brute-force cross-check of one wreath group's class structure.
+
+    `labels_match_orbits`: the sorted listed labels equal the sorted set of
+    invariants that occur in the table."""
 
     t: int
     m: int
@@ -303,39 +264,35 @@ class StructureReport:
         )
 
 
-def _partition_by(table: GroupTable, fingerprint) -> set[frozenset[int]]:
-    groups: dict = {}
-    for i, g in enumerate(table.elements):
-        groups.setdefault(fingerprint(g), set()).add(i)
-    return {frozenset(s) for s in groups.values()}
-
-
 def class_structure_report(
     t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP
 ) -> StructureReport:
     """Compare orbit conjugacy, invariant equality, class labels, the series
     class count and the commuting-pair identity on one wreath group.
 
-    Two elements land in the same invariant (or label) block iff their
-    fingerprints are equal, so block-partition equality against the orbit
-    partition is exactly the all-pairs statement "conjugate iff equal
-    invariants".
+    Two elements land in the same invariant block iff their invariants are
+    equal, so block-partition equality against the orbit partition is
+    exactly the all-pairs statement "conjugate iff equal invariants".  The
+    listed labels must be exactly the invariants that occur, each once.
 
     The series-order cap and then the table cap are checked before any work.
     """
     _check_series_order(t, m)
     table = enumerate_wreath(t, m, cap=cap)
     cc = conjugacy_classes(table)
-    orbit_partition = {frozenset(cls) for cls in cc}
+    blocks: dict = {}
+    for i, g in enumerate(table.elements):
+        blocks.setdefault(cycle_sum_invariants(g), []).append(i)
+    labels = enumerate_class_labels(t, m)
     return StructureReport(
         t=t,
         m=m,
         order=len(table),
         brute_class_count=len(cc),
         series_class_count=k_wreath(t, m),
-        label_count=len(enumerate_class_labels(t, m)),
-        invariants_match_orbits=_partition_by(table, cycle_sum_invariants)
-        == orbit_partition,
-        labels_match_orbits=_partition_by(table, class_label_of) == orbit_partition,
+        label_count=len(labels),
+        invariants_match_orbits={frozenset(b) for b in blocks.values()}
+        == {frozenset(cls) for cls in cc},
+        labels_match_orbits=sorted(labels) == sorted(blocks),
         commuting_pairs=commuting_pairs(table, cc),
     )

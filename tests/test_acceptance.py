@@ -26,7 +26,7 @@ from tricomm.permgroup import (
 )
 from tricomm.wreath import (
     class_structure_report,
-    conjugate_by_invariants,
+    cycle_sum_invariants,
     enumerate_wreath,
     k_wreath,
 )
@@ -144,7 +144,8 @@ def test_criterion_05_invariant_conjugacy_matches_orbits():
             orbit_of = {i: ci for ci, cls in enumerate(cc) for i in cls}
             for i, x in enumerate(table.elements):
                 for j, y in enumerate(table.elements):
-                    if conjugate_by_invariants(x, y) != (orbit_of[i] == orbit_of[j]):
+                    same_invariants = cycle_sum_invariants(x) == cycle_sum_invariants(y)
+                    if same_invariants != (orbit_of[i] == orbit_of[j]):
                         bad.append(f"W({t},{m}) pair {i},{j}")
     elapsed = time.monotonic() - start
     report(

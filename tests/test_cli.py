@@ -73,6 +73,26 @@ def test_unwritable_output_path_is_io_error(capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv", [["expand", "-N", "5"], ["verify", "-N", "8", "-K", "2"], ["bound-check", "-N", "10"]]
+)
+def test_failed_stdout_write_is_io_error(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "tricomm.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+            timeout=30,
+        )
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("cannot write stdout: ")
+    assert "internal error" not in result.stderr
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "-N", "10", "-K", "3")
     assert code == 0
@@ -236,6 +256,37 @@ def test_wreath_brute_match(capsys):
     assert "k(W(2,2)) = 5" in out
     assert "brute = 5" in out
     assert "match" in out
+
+
+def test_wreath_brute_catches_a_repeated_label(capsys, monkeypatch):
+    # Negative control for the label check: W(2,2)'s last label repeats its
+    # first, so the count still agrees but one class goes unlisted.
+    labels = wreath.enumerate_class_labels
+
+    def last_repeats_first(t, m):
+        out = labels(t, m)
+        return out[:-1] + out[:1]
+
+    monkeypatch.setattr(wreath, "enumerate_class_labels", last_repeats_first)
+    code, out, _ = run(capsys, "wreath", "2", "2", "--brute")
+    assert code == 1
+    assert "structure check failed:" in out
+    assert "counts_agree=True" in out and "labels_match_orbits=False" in out
+
+
+def test_invariants_without_residues_fail_the_structure_checks(capsys, monkeypatch):
+    # Negative control for the invariant check: with every residue read as
+    # 0, W(2,1)'s two classes share one invariant.  W(1, m) is unaffected.
+    invariants = wreath.cycle_sum_invariants
+    monkeypatch.setattr(
+        wreath, "cycle_sum_invariants", lambda x: tuple(sorted((0, n) for _, n in invariants(x)))
+    )
+    code, out, _ = run(capsys, "wreath", "2", "2", "--brute")
+    assert code == 1
+    assert "invariants_match_orbits=False" in out
+    code, out, _ = run(capsys, "verify", "-N", "8", "-K", "2")
+    assert code == 1
+    assert "wreath conjugacy structure: FAILED on W(2,1)" in out
 
 
 def test_wreath_without_brute(capsys):

@@ -14,6 +14,26 @@ from tricomm import wreath
 ROOT = Path(__file__).resolve().parent.parent
 
 
+CENSUS_T3_M3 = """\
+     group  order  classes  series  labels     pairs  verdict
+-------------------------------------------------------------
+    W(1,0)      1        1       1       1         1  ok
+    W(1,1)      1        1       1       1         1  ok
+    W(1,2)      2        2       2       2         4  ok
+    W(1,3)      6        3       3       3        18  ok
+    W(2,0)      1        1       1       1         1  ok
+    W(2,1)      2        2       2       2         4  ok
+    W(2,2)      8        5       5       5        40  ok
+    W(2,3)     48       10      10      10       480  ok
+    W(3,0)      1        1       1       1         1  ok
+    W(3,1)      3        3       3       3         9  ok
+    W(3,2)     18        9       9       9       162  ok
+    W(3,3)    162       22      22      22      3564  ok
+
+all groups consistent
+"""
+
+
 def run_script(name, *args, timeout=60):
     env = dict(os.environ)
     src = str(ROOT / "src")
@@ -34,6 +54,12 @@ def test_wreath_census_honours_a_cap_above_the_table_default():
     assert result.returncode == 0, result.stderr
     assert "W(1,7)" in result.stdout
     assert "all groups consistent" in result.stdout
+
+
+def test_wreath_census_output_is_pinned():
+    result = run_script("wreath_census.py", "--t-max", "3", "--m-max", "3")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == CENSUS_T3_M3
 
 
 def test_wreath_census_with_a_huge_m_max_stops_at_the_order_cap():

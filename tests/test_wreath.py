@@ -8,18 +8,15 @@ from hypothesis import given, settings, strategies as st
 from helpers import partition_series, power, substitute_power, wreath_family
 from tricomm import wreath
 from tricomm.errors import CapExceeded
-from tricomm.partitions import Partition, partition_count
+from tricomm.partitions import partition_count
 from tricomm.permgroup import conjugacy_classes
 from tricomm.wreath import (
     WreathElement,
-    class_label_of,
     class_structure_report,
-    conjugate_by_invariants,
     cycle_sum_invariants,
     enumerate_class_labels,
     enumerate_wreath,
     k_wreath,
-    w_identity,
     w_inv,
     w_mul,
     wreath_element,
@@ -47,7 +44,7 @@ def test_factory_validation():
 
 def test_mul_identity_and_inverse():
     table = enumerate_wreath(3, 2)
-    e = w_identity(3, 2)
+    e = wreath_element((0,) * 2, range(2), 3)
     for x in table.elements:
         assert w_mul(x, e) == x
         assert w_mul(e, x) == x
@@ -60,15 +57,15 @@ def test_mul_example_order_four_element():
     x2 = w_mul(x, x)
     assert x2 == wreath_element((1, 1), (0, 1), 2)
     x4 = w_mul(x2, x2)
-    assert x4 == w_identity(2, 2)
-    assert x2 != w_identity(2, 2)  # so x has order exactly 4
+    assert x4 == wreath_element((0,) * 2, range(2), 2)
+    assert x2 != wreath_element((0,) * 2, range(2), 2)  # so x has order exactly 4
 
 
 def test_mul_rejects_mismatched_groups():
     with pytest.raises(ValueError):
-        w_mul(w_identity(2, 2), w_identity(3, 2))
+        w_mul(wreath_element((0,) * 2, range(2), 2), wreath_element((0,) * 2, range(2), 3))
     with pytest.raises(ValueError):
-        w_mul(w_identity(2, 2), w_identity(2, 3))
+        w_mul(wreath_element((0,) * 2, range(2), 2), wreath_element((0,) * 3, range(3), 2))
 
 
 @pytest.mark.parametrize("t,m", [(2, 2), (3, 2), (2, 3)])
@@ -94,10 +91,11 @@ def test_commutes_predicate_matches_products():
 
 
 def test_cycle_sum_invariants_examples():
-    assert cycle_sum_invariants(w_identity(3, 2)) == ((0, 1), (0, 1))
+    assert cycle_sum_invariants(wreath_element((0,) * 2, range(2), 3)) == ((0, 1), (0, 1))
     x = wreath_element((1, 2, 0), (1, 0, 2), 3)
     assert cycle_sum_invariants(x) == ((0, 1), (0, 2))
     assert cycle_sum_invariants(wreath_element((1,), (0,), 4)) == ((1, 1),)
+    assert cycle_sum_invariants(wreath_element((2, 0, 0, 0), (1, 2, 3, 0), 3)) == ((2, 4),)
 
 
 @settings(max_examples=200)
@@ -109,17 +107,6 @@ def test_invariants_are_conjugation_invariant(data):
     y = data.draw(wreath_elements(t, m))
     conj = w_mul(w_mul(y, x), w_inv(y))
     assert cycle_sum_invariants(conj) == cycle_sum_invariants(x)
-    assert class_label_of(conj) == class_label_of(x)
-
-
-def test_conjugate_by_invariants_examples():
-    x = wreath_element((1, 0), (0, 1), 2)
-    y = wreath_element((0, 1), (0, 1), 2)
-    assert conjugate_by_invariants(x, x)
-    assert conjugate_by_invariants(x, y)
-    assert not conjugate_by_invariants(w_identity(2, 2), x)
-    with pytest.raises(ValueError):
-        conjugate_by_invariants(w_identity(2, 2), w_identity(3, 2))
 
 
 def test_conjugate_by_invariants_agrees_with_orbits_w22():
@@ -131,7 +118,8 @@ def test_conjugate_by_invariants_agrees_with_orbits_w22():
             same_orbit[i] = ci
     for i, x in enumerate(table.elements):
         for j, y in enumerate(table.elements):
-            assert conjugate_by_invariants(x, y) == (same_orbit[i] == same_orbit[j])
+            same_invariants = cycle_sum_invariants(x) == cycle_sum_invariants(y)
+            assert same_invariants == (same_orbit[i] == same_orbit[j])
 
 
 def test_enumerate_wreath_sizes_and_caps():
@@ -158,7 +146,7 @@ def test_wreath_of_single_point_is_cyclic():
     assert len(table) == 4
     assert len(conjugacy_classes(table)) == 4
     g = wreath_element((1,), (0,), 4)
-    acc = w_identity(4, 1)
+    acc = wreath_element((0,) * 1, range(1), 4)
     seen = set()
     for _ in range(4):
         seen.add(acc)
@@ -229,17 +217,14 @@ def test_enumerate_class_labels_examples():
     labels13 = enumerate_class_labels(1, 3)
     assert len(labels13) == 3
     labels21 = enumerate_class_labels(2, 1)
-    assert [tuple(p.parts for p in lbl.lambdas) for lbl in labels21] == [
-        ((1,), ()),
-        ((), (1,)),
-    ]
+    assert labels21 == [((0, 1),), ((1, 1),)]
     labels22 = enumerate_class_labels(2, 2)
-    assert [tuple(p.parts for p in lbl.lambdas) for lbl in labels22] == [
-        ((2,), ()),
-        ((), (2,)),
-        ((1, 1), ()),
-        ((1,), (1,)),
-        ((), (1, 1)),
+    assert labels22 == [
+        ((0, 2),),
+        ((1, 2),),
+        ((0, 1), (0, 1)),
+        ((0, 1), (1, 1)),
+        ((1, 1), (1, 1)),
     ]
 
 
@@ -252,32 +237,23 @@ def test_enumerate_class_labels_needs_no_stack_per_residue():
 def test_enumerated_labels_are_the_labels_of_the_elements():
     for t, m in wreath_family(400, t_max=4, m_max=4):
         elements = enumerate_wreath(t, m).elements
-        assert set(enumerate_class_labels(t, m)) == set(map(class_label_of, elements))
+        assert set(enumerate_class_labels(t, m)) == set(map(cycle_sum_invariants, elements))
 
 
 def test_class_labels_are_distinct_and_sized():
     for t, m in wreath_family(2000, t_max=5, m_max=5):
         labels = enumerate_class_labels(t, m)
-        assert len(set(map(str, labels))) == len(labels) == k_wreath(t, m)
+        assert len(set(labels)) == len(labels) == k_wreath(t, m)
         for lbl in labels:
-            assert sum(p.size for p in lbl.lambdas) == m
-            assert len(lbl.lambdas) == t
+            assert lbl == tuple(sorted(lbl))
+            assert sum(length for _, length in lbl) == m
+            assert all(0 <= z < t for z, _ in lbl)
 
 
 def test_label_enumeration_length_matches_series_count():
     # no group enumeration here: pure combinatorics against the series
     for t, m in wreath_family(5000):
         assert len(enumerate_class_labels(t, m)) == k_wreath(t, m)
-
-
-def test_class_label_of_examples():
-    ident = class_label_of(w_identity(2, 3))
-    assert ident.lambdas == (Partition((1, 1, 1)), Partition(()))
-    x = class_label_of(wreath_element((1, 0), (0, 1), 2))
-    assert x.lambdas == (Partition((1,)), Partition((1,)))
-    full_cycle = wreath_element((2, 0, 0, 0), (1, 2, 3, 0), 3)
-    lbl = class_label_of(full_cycle)
-    assert lbl.lambdas == (Partition(()), Partition(()), Partition((4,)))
 
 
 def test_structure_reports_on_small_family():

@@ -13,6 +13,7 @@ the class/pair/triple counters below work for any finite group we can list
 import itertools
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import Callable
 
 from .errors import CapExceeded
@@ -22,6 +23,11 @@ Perm = tuple[int, ...]
 
 DEFAULT_NAIVE_CAP = 5
 DEFAULT_CENT_CAP = 8
+# Route C refuses a degree above this whatever the cap says.  Degree 10
+# (`brute -N 10 --cent-cap 10`) takes about 2.7 s and 42 MB (Python 3.11,
+# 2 vCPUs).  Degree 11 was not run: Cent of type (2,1^9) alone has 725,760
+# elements, about 100 MB as tuples before its index dict.
+CENT_CEILING = 10
 
 
 def identity_perm(degree: int) -> Perm:
@@ -132,17 +138,22 @@ def enumerate_symmetric(n: int, *, cap: int = DEFAULT_CENT_CAP) -> GroupTable:
     )
 
 
+def _cycles_by_length(g: Perm) -> dict[int, list[list[int]]]:
+    """g's cycles as `perm_cycles` lists them, grouped by length."""
+    blocks: dict[int, list[list[int]]] = {}
+    for cycle in perm_cycles(g):
+        blocks.setdefault(len(cycle), []).append(cycle)
+    return blocks
+
+
 def centralizer_generators(g: Perm) -> tuple[Perm, ...]:
     """Generators of Cent(g) in S_n, one Z_t wr S_m per block of m cycles
     c_0..c_(m-1) of length t: g on c_0 alone (when t > 1), and for each
     generator s of S_m the map c_k[i] -> c_s(k)[i].  `perm_cycles` lists
     every cycle in g's order, so these commute with g.
     """
-    blocks: dict[int, list[list[int]]] = {}
-    for cycle in perm_cycles(g):
-        blocks.setdefault(len(cycle), []).append(cycle)
     gens = []
-    for length, cycles in blocks.items():
+    for length, cycles in _cycles_by_length(g).items():
         if length > 1:
             gens.append(tuple(g[i] if i in cycles[0] else i for i in range(len(g))))
         for s in symmetric_generators(len(cycles)):
@@ -155,25 +166,45 @@ def centralizer_generators(g: Perm) -> tuple[Perm, ...]:
 
 
 def centralizer(g: Perm) -> GroupTable:
-    """Cent(g) in S_n, listed as the closure of `centralizer_generators(g)`
-    under `compose`, in lexicographic order."""
-    gens = centralizer_generators(g)
-    ident = identity_perm(len(g))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = compose(s, x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
+    """Cent(g) in S_n, listed directly in lexicographic order.
+
+    Cent(g) is the product over cycle lengths t of Z_t wr S_m, m the number
+    of g's cycles of length t: each element sends those cycles to one
+    another, rotating each.  With the cycles written point after point, an
+    element's images in that order are one concatenation of rotated cycles
+    per block, and one `itemgetter` over the points' positions puts them in
+    one-line form.  `generators` are `centralizer_generators(g)`.
+    """
+    if len(g) < 2:
+        elements = [identity_perm(len(g))]
+    else:
+        flatten = itertools.chain.from_iterable
+        blocks = _cycles_by_length(g)
+        block_images = []
+        for same_length in blocks.values():
+            rotations = [
+                [tuple(c[k:] + c[:k]) for k in range(len(c))] for c in same_length
+            ]
+            block_images.append([
+                tuple(flatten(choice))
+                for targets in itertools.permutations(rotations)
+                for choice in itertools.product(*targets)
+            ])
+        points = [p for same_length in blocks.values() for c in same_length for p in c]
+        position = [0] * len(g)
+        for k, p in enumerate(points):
+            position[p] = k
+        one_line = itemgetter(*position)
+        elements = sorted(
+            one_line(tuple(flatten(images)))
+            for images in itertools.product(*block_images)
+        )
     return GroupTable(
-        elements=tuple(sorted(seen)),
+        elements=tuple(elements),
         mul=compose,
         inv=inverse_perm,
         name=f"Cent({g})",
-        generators=gens,
+        generators=centralizer_generators(g),
     )
 
 
@@ -236,20 +267,38 @@ def centralizer_pairs(g: Perm, table: GroupTable) -> int:
     The pairs (r, h) for a fixed r number |Cent(g) & Cent(r)|, constant along
     r's class in Cent(g).  For each class representative r, that
     intersection is counted by listing the smaller of Cent(g) and Cent(r)
-    (both listed from generators) and testing each element against the
-    other of g and r.  `centralizer_order` only picks the side to list.
+    (both listed directly by `centralizer`) and testing each element against
+    the other of g and r, inline: x*h == h*x compares `map(x.__getitem__, h)`
+    with `itemgetter(*x)(h)`.  `centralizer_order` only picks the side to list.
     """
     elems = table.elements
     total = 0
     for cls in conjugacy_classes(table):
         r = elems[cls[0]]
         if centralizer_order(cycle_type(r)) < len(elems):
-            side = centralizer(r)
-            count = sum(1 for h in side.elements if side.commutes(g, h))
+            count = _count_commuting(g, centralizer(r).elements)
         else:
-            count = sum(1 for h in elems if table.commutes(r, h))
+            count = _count_commuting(r, elems)
         total += len(cls) * count
     return total
+
+
+def _count_commuting(x: Perm, elements: tuple[Perm, ...]) -> int:
+    """How many of `elements` commute with x, each by a direct test."""
+    if len(x) < 2:
+        return len(elements)  # all commute; itemgetter(*x) would not give a tuple
+    x_of, of_x = x.__getitem__, itemgetter(*x)
+    return sum(1 for h in elements if tuple(map(x_of, h)) == of_x(h))
+
+
+def require_cent_degree(n: int, cap: int) -> None:
+    """Refuse route C at degree n above `cap`, or above CENT_CEILING
+    whatever `cap` says."""
+    what = f"centralizer triple count in S_{n}"
+    if n > cap:
+        raise CapExceeded(what, "centralizer cap", cap)
+    if n > CENT_CEILING:
+        raise CapExceeded(what, "centralizer ceiling", CENT_CEILING)
 
 
 def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
@@ -303,8 +352,7 @@ def triples_centralizer(n: int, *, cap: int = DEFAULT_CENT_CAP) -> int:
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceeded(f"centralizer triple count in S_{n}", "centralizer cap", cap)
+    require_cent_degree(n, cap)
     n_fact = factorial(n)
     ident = identity_perm(n)
     pairs = n_fact  # r = id commutes with all of S_n

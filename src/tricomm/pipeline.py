@@ -16,9 +16,8 @@ from itertools import accumulate
 from typing import Callable
 
 from . import numtheory, series
-from .errors import CapExceeded
 from .partitions import enumerate_partitions
-from .permgroup import DEFAULT_CENT_CAP, triples_centralizer
+from .permgroup import DEFAULT_CENT_CAP, require_cent_degree, triples_centralizer
 from .wreath import k_wreath, k_wreath_series
 
 
@@ -96,9 +95,8 @@ def coeffs_brute(n_max: int, *, cap: int = DEFAULT_CENT_CAP) -> list[int]:
     """Route C: triple counts divided (exactly) by n!, for n = 0..n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if n_max > cap:
-        # Checked up front, so a refusal costs no degree's work.
-        raise CapExceeded(f"centralizer triple count in S_{n_max}", "centralizer cap", cap)
+    # Checked up front, so a refusal costs no degree's work.
+    require_cent_degree(n_max, cap)
     out = []
     for n in range(n_max + 1):
         triples = triples_centralizer(n, cap=cap)

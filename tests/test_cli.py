@@ -180,6 +180,34 @@ def test_brute_above_cap_refused(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["brute", "-N", "11", "--cent-cap", "11"], ["verify", "-N", "11", "-K", "11", "--cent-cap", "11"]],
+)
+def test_route_c_above_the_degree_ceiling_refused_whatever_the_cap(argv):
+    # A refusal is immediate; a run of degree 11 would take far longer than
+    # the timeout.
+    result = subprocess.run(
+        [sys.executable, "-m", "tricomm.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == (
+        "refused: centralizer triple count in S_11 exceeds centralizer ceiling=10\n"
+    )
+
+
+@pytest.mark.slow
+def test_brute_at_the_degree_ceiling_matches_expand(capsys):
+    code, out, err = run(capsys, "brute", "-N", "10", "--cent-cap", "10")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "expand", "-N", "10")[1]
+    assert out.endswith("\n10 1316\n")  # A061256
+
+
 def test_classes_order_1000_exits_cleanly(capsys):
     code, out, err = run(capsys, "classes", "-N", "1000")
     assert code == 0

@@ -104,10 +104,22 @@ def test_centralizer_examples():
     assert centralizer(()).elements == ((),)
 
 
+def scattered_conjugates_of_each_type(n):
+    """Per cycle type of n, `permutation_of_type` and its conjugate by the
+    shuffle that lists the even points before the odd ones, whose cycles
+    are not runs of consecutive points."""
+    shuffle = tuple(range(0, n, 2)) + tuple(range(1, n, 2))
+    for ct in enumerate_partitions(n):
+        g = permutation_of_type(ct)
+        yield g
+        yield compose(compose(shuffle, g), inverse_perm(shuffle))
+
+
 def test_centralizer_order_matches_cycle_type_formula():
-    for n in range(7):
+    for n in range(9):
         table = enumerate_symmetric(n)
-        for g in table.elements:
+        inputs = table.elements if n < 7 else scattered_conjugates_of_each_type(n)
+        for g in inputs:
             cent = centralizer(g)
             assert cent.elements == centralizer_by_filter(g, table)
             assert len(cent) == centralizer_order(cycle_type(g))
@@ -330,6 +342,10 @@ def test_triples_centralizer_sweeps_no_table_of_order_n_factorial(monkeypatch):
 def test_triples_centralizer_cap_guard():
     with pytest.raises(CapExceeded, match="centralizer cap"):
         triples_centralizer(9)
+    # The ceiling holds whatever the cap says.
+    for cap in (11, 10**30):
+        with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
+            triples_centralizer(11, cap=cap)
 
 
 def test_factorial_divides_triple_counts():

@@ -86,6 +86,10 @@ def test_coeffs_brute_refuses_before_any_degree(monkeypatch):
         pipeline.coeffs_brute(5, cap=4)
     with pytest.raises(CapExceeded, match="centralizer cap"):
         pipeline.verify_identity(9, 9)
+    with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
+        pipeline.coeffs_brute(11, cap=11)
+    with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
+        pipeline.verify_identity(11, 11, cap=11)
 
 
 def test_coeffs_brute_flags_inexact_division(monkeypatch):

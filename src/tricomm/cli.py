@@ -21,6 +21,7 @@ from .permgroup import (
     commuting_pairs,
     conjugacy_classes,
     enumerate_symmetric,
+    require_naive_degree,
     triples_naive,
 )
 from .wreath import DEFAULT_TABLE_CAP, class_structure_report, k_wreath, wreath_family
@@ -118,6 +119,9 @@ def _cmd_wreath(args) -> int:
 
 def _cmd_verify(args) -> int:
     sigma_fn = _sigma_fn(args)
+    naive_max = min(args.brute_max, args.naive_cap)
+    # Checked up front, so a refusal costs no route's work.
+    require_naive_degree(naive_max, args.naive_cap)
     failed = False
 
     report = pipeline.verify_identity(
@@ -169,7 +173,6 @@ def _cmd_verify(args) -> int:
     else:
         print(f"wreath conjugacy structure: ok on {len(VERIFY_WREATH_FAMILY)} wreath groups")
 
-    naive_max = min(args.brute_max, args.naive_cap)
     naive_bad = [
         n
         for n in range(naive_max + 1)

@@ -28,6 +28,10 @@ DEFAULT_CENT_CAP = 8
 # 2 vCPUs).  Degree 11 was not run: Cent of type (2,1^9) alone has 725,760
 # elements, about 100 MB as tuples before its index dict.
 CENT_CEILING = 10
+# The naive oracle refuses a degree above this whatever its cap says.
+# `triples_naive(6)` takes about 0.6 s (Python 3.11, 2 vCPUs).  Degree 7 was
+# not run: its 5040^2 / 2 pair tests are about 49 times degree 6's, about 30 s.
+NAIVE_CEILING = 6
 
 
 def identity_perm(degree: int) -> Perm:
@@ -301,6 +305,16 @@ def require_cent_degree(n: int, cap: int) -> None:
         raise CapExceeded(what, "centralizer ceiling", CENT_CEILING)
 
 
+def require_naive_degree(n: int, cap: int) -> None:
+    """Refuse the naive oracle at degree n above `cap`, or above
+    NAIVE_CEILING whatever `cap` says."""
+    what = f"naive triple count over ({n}!)^3"
+    if n > cap:
+        raise CapExceeded(what, "naive cap", cap)
+    if n > NAIVE_CEILING:
+        raise CapExceeded(what, "naive ceiling", NAIVE_CEILING)
+
+
 def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
     """Count ordered triples of pairwise-commuting permutations of n points
     by direct enumeration.
@@ -313,8 +327,7 @@ def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceeded(f"naive triple count over ({n}!)^3", "naive cap", cap)
+    require_naive_degree(n, cap)
     table = enumerate_symmetric(n, cap=cap)
     elems = table.elements
     commutes = table.commutes

@@ -63,18 +63,21 @@ def coeffs_classes(order: int) -> series.IntSeries:
     size t multiplies by k_wreath(t, m).  So w is multiplied in place by
     row t = sum(k_wreath(t, m) * u^(m*t)), one whole-row update per m.
     Its coefficients k_wreath(t, m) are those of P^t, P = row 1 (the
-    partition numbers), so each row is the previous one times row 1: one
-    multiply per row.
+    partition numbers), so each row is a fresh copy of P, truncated at
+    order // t, multiplied in place by the previous row: one
+    `imul_substituted` per row, the kernel that also multiplies w.
     `class_count_by_types` is the same sum with every partition spelled
     out, kept as a slow cross-check.
     """
     _require_series_order(order)
-    row_1 = k_wreath_series(1, order)
-    row = series.one(order)
+    row_1 = list(k_wreath_series(1, order).coeffs)
+    row = [1]
     w = [1] + [0] * order
     for t in range(1, order + 1):
-        row = series.mul(row, row_1, order // t)
-        series.imul_substituted(w, row.coeffs, t)
+        next_row = row_1[: order // t + 1]
+        series.imul_substituted(next_row, row, 1)
+        row = next_row
+        series.imul_substituted(w, row, t)
     return series.IntSeries(tuple(w))
 
 

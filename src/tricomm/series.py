@@ -3,8 +3,8 @@
 Index k of `coeffs` holds the u^k coefficient; a series of order N carries
 exactly N+1 coefficients.  All arithmetic is exact Python integers;
 truncation order is an explicit argument everywhere and operations never
-silently extend a series.  The module holds what routes A and B run: the
-dense product `mul`, the in-place product with a row in u^step
+silently extend a series.  The module holds what routes A and B run: one
+product kernel, the in-place product of a list with a row in u^step
 (`imul_substituted`), the factor (1 - u)^(-s) and the series-order cap.
 """
 
@@ -47,38 +47,6 @@ class IntSeries:
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
-
-
-def _require_order(f: IntSeries, order: int) -> None:
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
-    if f.order < order:
-        raise ValueError(
-            f"series of order {f.order} cannot serve a request at order {order}"
-        )
-
-
-def one(order: int) -> IntSeries:
-    """The constant series 1 at the given truncation order."""
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
-    return IntSeries((1,) + (0,) * order)
-
-
-def mul(f: IntSeries, g: IntSeries, order: int) -> IntSeries:
-    """Cauchy product truncated at `order`.
-
-    Each nonzero term of `f` adds its multiple of `g`, shifted, as one
-    whole-row update; zero terms of `f` are skipped, so `mul(one(n), g, n)`
-    costs O(n).  Terms of either operand past `order` are ignored.
-    """
-    _require_order(f, order)
-    _require_order(g, order)
-    out = [0] * (order + 1)
-    for i, a in enumerate(f.coeffs[: order + 1]):
-        if a:
-            out[i:] = [c + a * b for c, b in zip(out[i:], g.coeffs)]
-    return IntSeries(tuple(out))
 
 
 def imul_substituted(out: list[int], row, step: int) -> None:

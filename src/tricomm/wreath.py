@@ -190,18 +190,21 @@ def _check_series_order(t: int, m_max: int) -> None:
 
 def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     """Class counts of W(t, m) for all m <= m_max: the partition series P
-    raised to the power t as a running product, t - 1 multiplies by P, as
-    route B builds its rows.
+    raised to the power t as a running product, as route B builds its rows:
+    t - 1 times, a fresh copy of P is multiplied in place by the previous
+    row with `series.imul_substituted`.
 
     Route B reads no row with t*m above its order, so t*max(m_max, 1) is
     held to the series-order cap, refused before any work.
     """
     _check_series_order(t, m_max)
-    p = series.IntSeries(tuple(partition_numbers(m_max)))
+    p = partition_numbers(m_max)
     row = p
     for _ in range(t - 1):
-        row = series.mul(row, p, m_max)
-    return row
+        next_row = p[:]
+        series.imul_substituted(next_row, row, 1)
+        row = next_row
+    return series.IntSeries(tuple(row))
 
 
 def enumerate_class_labels(t: int, m: int) -> list[tuple[tuple[int, int], ...]]:

@@ -1,14 +1,15 @@
 """Shared test scaffolding: group families and reference oracles.
 
 The oracles here are what the cross-checks compare the library against, so
-they call no route of it: route B's series form and the partition Euler
-product share only the dense product `series.mul` and the trivial builders
-`series.one` and `series.neg_binomial_factor` with production.  P^t is
-powered here by repeated squaring (`power`), where production builds it as
-a running product.  Formal log/exp work on plain tuples of `Fraction`; the
-library itself is integer-only.
+they call no route of it and share no series kernel with it: the Cauchy
+product `mul` and the constant series `one` live here, and route A's
+factors are built from `math.comb`.  Only the `IntSeries` container comes
+from the library.  P^t is powered here by repeated squaring (`power`),
+where production builds it as a running product.  Formal log/exp work on
+plain tuples of `Fraction`; the library itself is integer-only.
 """
 
+import math
 from fractions import Fraction
 
 from tricomm import numtheory, series, wreath
@@ -61,14 +62,36 @@ def conjugacy_classes_full_sweep(table):
     return tuple(classes)
 
 
+def one(order: int) -> series.IntSeries:
+    """The constant series 1 at the given truncation order."""
+    return series.IntSeries((1,) + (0,) * order)
+
+
+def mul(f: series.IntSeries, g: series.IntSeries, order: int) -> series.IntSeries:
+    """Reference Cauchy product truncated at `order`; both operands must
+    reach it.
+
+    Each nonzero term of `f` adds its multiple of `g`, shifted, as one
+    whole-row update, so a sparse first operand is cheap; terms of either
+    operand past `order` are ignored.
+    """
+    out = [0] * (order + 1)
+    for i, a in enumerate(f.coeffs[: order + 1]):
+        if a:
+            out[i:] = [c + a * b for c, b in zip(out[i:], g.coeffs)]
+    return series.IntSeries(tuple(out))
+
+
 def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSeries:
     """Reference route A: each factor (1 - u^j)^(-sigma_fn(j)) built whole,
-    as `neg_binomial_factor` with u -> u^j, and multiplied in with
-    `series.mul`, the sparse factor first; no in-place update."""
-    result = series.one(order)
+    its u^(j*k) coefficient C(s+k-1, k) from `math.comb`, and multiplied in
+    with `mul`, the sparse factor first; no in-place update."""
+    result = one(order)
     for j in range(1, order + 1):
-        factor = substitute_power(series.neg_binomial_factor(sigma_fn(j), order // j), j, order)
-        result = series.mul(factor, result, order)
+        s = sigma_fn(j)
+        factor = [0] * (order + 1)
+        factor[::j] = [math.comb(s + k - 1, k) for k in range(order // j + 1)]
+        result = mul(series.IntSeries(tuple(factor)), result, order)
     return result
 
 
@@ -94,14 +117,14 @@ def power(f: series.IntSeries, t: int, order: int) -> series.IntSeries:
     the constant series 1."""
     if t < 0:
         raise ValueError(f"power requires t >= 0, got {t}")
-    result = series.one(order)
+    result = one(order)
     base = f
     while t:
         if t & 1:
-            result = series.mul(result, base, order)
+            result = mul(result, base, order)
         t >>= 1
         if t:
-            base = series.mul(base, base, order)
+            base = mul(base, base, order)
     return result
 
 
@@ -114,10 +137,10 @@ def coeffs_classes_series(order: int) -> series.IntSeries:
     sparse factor first, not by in-place row updates.
     """
     p = partition_series(order)
-    result = series.one(order)
+    result = one(order)
     for t in range(1, order + 1):
         p_t = power(p, t, order // t)
-        result = series.mul(substitute_power(p_t, t, order), result, order)
+        result = mul(substitute_power(p_t, t, order), result, order)
     return result
 
 

@@ -200,6 +200,18 @@ def test_route_c_above_the_degree_ceiling_refused_whatever_the_cap(argv):
     )
 
 
+def test_verify_naive_range_above_the_ceiling_refused_before_any_route(capsys, monkeypatch):
+    # min(K, --naive-cap) = 8 would list S_8 for about 8*10^8 commutation tests.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a route ran before the naive-ceiling refusal")
+
+    for route in ("coeffs_brute", "coeffs_product", "coeffs_classes"):
+        monkeypatch.setattr(pipeline, route, must_not_run)
+    code, out, err = run(capsys, "verify", "-N", "8", "-K", "8", "--cent-cap", "8", "--naive-cap", "8")
+    assert (code, out) == (3, "")
+    assert err == "refused: naive triple count over (8!)^3 exceeds naive ceiling=6\n"
+
+
 @pytest.mark.slow
 def test_brute_at_the_degree_ceiling_matches_expand(capsys):
     code, out, err = run(capsys, "brute", "-N", "10", "--cent-cap", "10")

@@ -282,6 +282,8 @@ def test_triples_naive_cap_guard():
         triples_naive(6)
     with pytest.raises(CapExceeded):
         triples_naive(4, cap=3)
+    with pytest.raises(CapExceeded, match="naive ceiling=6"):
+        triples_naive(7, cap=7)
 
 
 def test_triples_centralizer_examples():

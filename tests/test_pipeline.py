@@ -255,9 +255,11 @@ def test_routes_b_and_c_never_reach_sigma(monkeypatch):
 
 
 def test_oracles_never_reach_the_code_they_check(monkeypatch):
-    # Route B's series form and the partition Euler product must not call
-    # the route B or the partition numbers that they cross-check.
+    # Route B's series form, the partition Euler product and route A's
+    # factor-by-factor product must not call the route, the partition
+    # numbers or the series code that they cross-check.
     classes = pipeline.coeffs_classes(30)
+    product = pipeline.coeffs_product(30)
     numbers = tuple(partitions.partition_numbers(60))
     assert classes.coeffs[:9] == A061256_PREFIX and numbers[60] == 966467
 
@@ -266,10 +268,13 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
 
     monkeypatch.setattr(partitions, "partition_numbers", forbidden)
     monkeypatch.setattr(pipeline, "coeffs_classes", forbidden)
+    monkeypatch.setattr(pipeline, "coeffs_product", forbidden)
     monkeypatch.setattr(wreath, "k_wreath_series", forbidden)
     monkeypatch.setattr(series, "imul_substituted", forbidden)
+    monkeypatch.setattr(series, "neg_binomial_factor", forbidden)
     assert helpers.coeffs_classes_series(30) == classes
     assert helpers.partition_series(60).coeffs == numbers
+    assert coeffs_product_by_mul(30) == product
 
 
 def test_readme_library_example_runs():

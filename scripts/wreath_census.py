@@ -4,13 +4,17 @@
 For every W(t, m) that fits the order budget, compare the orbit-counted
 class number against the series count and the label enumeration, and check
 commuting pairs == order * classes.  Exits 1 if any group is inconsistent,
-and 2 if no group fits the bounds.
+2 if no group fits the bounds, and 3 if a bound is refused: a --t-max above
+the series-order cap, or any group of the family above a cap or the
+structure ceiling, all checked before the first group runs.
 """
 
 import argparse
 import sys
 
-from tricomm.wreath import class_structure_report, wreath_family
+from tricomm.errors import CapExceeded
+from tricomm.series import require_order_within_cap
+from tricomm.wreath import class_structure_report, require_structure_check, wreath_family
 
 
 def main() -> int:
@@ -19,6 +23,16 @@ def main() -> int:
     parser.add_argument("--t-max", type=int, default=9)
     parser.add_argument("--m-max", type=int, default=8)
     args = parser.parse_args()
+    try:
+        return census(args)
+    except CapExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 3
+
+
+def census(args) -> int:
+    # wreath_family lists W(t, 0), of order 1, for every t: bound t first.
+    require_order_within_cap(args.t_max, f"--t-max {args.t_max}")
     family = wreath_family(args.cap, args.t_max, args.m_max)
     if not family:
         print(
@@ -27,6 +41,8 @@ def main() -> int:
             file=sys.stderr,
         )
         return 2
+    for t, m in family:
+        require_structure_check(t, m, args.cap)
 
     header = f"{'group':>10} {'order':>6} {'classes':>8} {'series':>7} {'labels':>7} {'pairs':>9}  verdict"
     print(header)

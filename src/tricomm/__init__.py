@@ -12,7 +12,7 @@ and checks that all three agree coefficient by coefficient.
 """
 
 from .errors import CapExceeded
-from .numtheory import bound_check, divisors, sigma
+from .numtheory import bound_check, sigma
 from .partitions import (
     Partition,
     centralizer_order,
@@ -65,7 +65,6 @@ __all__ = [
     "conjugacy_classes",
     "cycle_sum_invariants",
     "cycle_type",
-    "divisors",
     "enumerate_class_labels",
     "enumerate_partitions",
     "enumerate_symmetric",

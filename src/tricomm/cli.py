@@ -137,7 +137,7 @@ def _cmd_verify(args) -> int:
         failed = True
 
     if args.order >= 1:
-        log_report = pipeline.check_log(report.product, sigma_fn=sigma_fn)
+        log_report = pipeline.check_log(report.product)
         if log_report.ok:
             print(f"log coefficients: ok on 1..{args.order}")
         else:

@@ -1,15 +1,16 @@
-"""Divisor arithmetic: sigma, divisor lists, divisor weights, quartic bound.
+"""Divisor arithmetic: sigma, divisor weights, quartic bound.
 
-Everything here is exact integer arithmetic.  Single values (`divisors`,
-`sigma`, `divisor_weight`) are found by trial division; there is no
-factorization fast path on purpose.  Range scans (`divisor_weights`, and
-`bound_check` on top of it) sieve instead: a smallest-prime-factor table and
-one multiplicative pass, so a scan never runs trial division.
+Everything here is exact integer arithmetic.  The single value `sigma`,
+route A's exponent, is found by trial division; there is no factorization
+fast path on purpose.  The weights w(d) = sum(a*sigma(a) for a | d) come
+only as a range (`divisor_weights`, read by `pipeline.check_log` and by
+`bound_check`), sieved: a smallest-prime-factor table and one multiplicative
+pass that builds sigma at prime powers itself and never calls `sigma`.
 """
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapExceeded
 
@@ -17,21 +18,6 @@ from .errors import CapExceeded
 # near 90 MB and takes about 0.9 s (Python 3.11, 2 vCPUs); the lists and
 # the time grow about linearly.
 BOUND_CHECK_CAP = 10**6
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, strictly ascending."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    small = []
-    large = []
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-    large.reverse()
-    return small + large
 
 
 def sigma(n: int) -> int:
@@ -48,20 +34,10 @@ def sigma(n: int) -> int:
     return total
 
 
-def divisor_weight(d: int, sigma_fn: Callable[[int], int] = sigma) -> int:
-    """sum(a * sigma(a) for a | d) -- d times the u^d coefficient of the
-    formal log of the sigma Euler product.
-
-    `sigma_fn` stands in for `sigma`, so a caller holding a (possibly
-    corrupted) sigma table gets the weight of that table.
-    """
-    if d < 1:
-        raise ValueError(f"divisor_weight requires d >= 1, got {d}")
-    return sum(a * sigma_fn(a) for a in divisors(d))
-
-
 def divisor_weights(d_max: int) -> list[int]:
-    """[0] + [divisor_weight(d) for d = 1..d_max], by one multiplicative pass.
+    """[0] + [w(d) for d = 1..d_max], w(d) = sum(a*sigma(a) for a | d), by
+    one multiplicative pass.  w(d) is d times the u^d coefficient of the
+    formal log of route A, and the number of index-d subgroups of Z^3.
 
     The weight is multiplicative (a Dirichlet convolution of 1 with
     n*sigma(n)), so it is built from prime powers.  A smallest-prime-factor
@@ -109,7 +85,8 @@ class BoundFailure(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of scanning `divisor_weight(d) < d**4` over d = 1..d_max.
+    """Outcome of scanning `w(d) < d**4` over d = 1..d_max, w as in
+    `divisor_weights`.
 
     At d = 1 both sides equal 1, so the strict inequality fails there by
     equality; that case is reported in `equality_at_one`, not treated as a

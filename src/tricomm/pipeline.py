@@ -176,31 +176,30 @@ class LogReport:
     first_mismatch: int | None
 
 
-def verify_log(
-    order: int, *, sigma_fn: Callable[[int], int] = numtheory.sigma
-) -> LogReport:
+def verify_log(order: int) -> LogReport:
     """Check route A at `order` against the divisor formula for its formal log."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return check_log(coeffs_product(order, sigma_fn=sigma_fn).coeffs, sigma_fn=sigma_fn)
+    return check_log(coeffs_product(order).coeffs)
 
 
-def check_log(
-    a: tuple[int, ...], *, sigma_fn: Callable[[int], int] = numtheory.sigma
-) -> LogReport:
+def check_log(a: tuple[int, ...]) -> LogReport:
     """Check the coefficients `a` of route A against the divisor formula
     for its formal log.
 
     The u^d coefficient of log(route A) must equal b_d / d with
-    b_d = sum(a*sigma(a) for a | d), for d = 1..order.  Since route A has
-    constant term 1, that holds exactly when the log-derivative recurrence
-    n*a_n = sum(b_k * a_(n-k) for k = 1..n) holds for n = 1..order, in
-    integers; the first n where it fails is the first log mismatch.
+    b_d = sum(a*sigma(a) for a | d), for d = 1..order.  The b_d come from
+    the sieve `numtheory.divisor_weights`, which never calls the sigma that
+    route A reads, so a corrupted sigma table shows here too.  Since route A
+    has constant term 1, the log formula holds exactly when the
+    log-derivative recurrence n*a_n = sum(b_k * a_(n-k) for k = 1..n) holds
+    for n = 1..order, in integers; the first n where it fails is the first
+    log mismatch.
     """
     order = len(a) - 1
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    b = [0] + [numtheory.divisor_weight(k, sigma_fn) for k in range(1, order + 1)]
+    b = numtheory.divisor_weights(order)
     for n in range(1, order + 1):
         if n * a[n] != sum(b[k] * a[n - k] for k in range(1, n + 1)):
             return LogReport(order=order, ok=False, first_mismatch=n)

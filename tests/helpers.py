@@ -4,13 +4,18 @@ The oracles here are what the cross-checks compare the library against, so
 they call no route of it and share no series kernel with it: the Cauchy
 product `mul` and the constant series `one` live here, and route A's
 factors are built from `math.comb`.  Only the `IntSeries` container comes
-from the library.  P^t is powered here by repeated squaring (`power`),
+from the library.  Divisor sums are found by trial division here, where
+the library sieves them.  P^t is powered here by repeated squaring (`power`),
 where production builds it as a running product.  Formal log/exp work on
 plain tuples of `Fraction`; the library itself is integer-only.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from tricomm import numtheory, series, wreath
 
@@ -21,6 +26,23 @@ FAMILY_T_MAX = 9
 FAMILY_M_MAX = 8
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, timeout=60):
+    """Run `scripts/<name>` in a fresh interpreter with `src` on the path."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
 def wreath_family(order_cap: int, t_max: int = FAMILY_T_MAX, m_max: int = FAMILY_M_MAX):
     """All (t, m) pairs in the test grid whose group order fits the cap."""
     return wreath.wreath_family(order_cap, t_max, m_max)
@@ -28,6 +50,30 @@ def wreath_family(order_cap: int, t_max: int = FAMILY_T_MAX, m_max: int = FAMILY
 
 def brute_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, strictly ascending, by trial division up
+    to sqrt(n)."""
+    if n < 1:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
+    small = []
+    large = []
+    for i in range(1, math.isqrt(n) + 1):
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+    large.reverse()
+    return small + large
+
+
+def divisor_weight(d: int) -> int:
+    """Reference w(d) = sum(a * sigma(a) for a | d) by trial division, each
+    sigma(a) summed from `divisors(a)`: no sieve, no library sigma."""
+    if d < 1:
+        raise ValueError(f"divisor_weight requires d >= 1, got {d}")
+    return sum(a * sum(divisors(a)) for a in divisors(d))
 
 
 def commuting_pairs_double_loop(table) -> int:
@@ -168,5 +214,6 @@ def exp(f, order: int) -> tuple[Fraction, ...]:
 
 def log_coefficient(d: int) -> Fraction:
     """Coefficient of u^d in the formal log of the sigma Euler product:
-    sum(a*sigma(a) for a | d) / d, in lowest terms."""
-    return Fraction(numtheory.divisor_weight(d), d)
+    sum(a*sigma(a) for a | d) / d, in lowest terms, from the trial-division
+    `divisor_weight`."""
+    return Fraction(divisor_weight(d), d)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,7 +116,8 @@ def test_verify_full_output_is_pinned(capsys):
 def test_verify_corrupted_sigma_names_index(capsys):
     code, out, _ = run(capsys, "verify", "-N", "8", "-K", "2", "--corrupt-sigma", "3")
     assert code == 1
-    assert "FIRST DISAGREEMENT at index 3" in out
+    assert "identity: FIRST DISAGREEMENT at index 3\n" in out
+    assert "log coefficients: FIRST MISMATCH at d = 3\n" in out
     assert "FAILED" in out
 
 
@@ -385,6 +387,22 @@ def test_wreath_brute_refuses_on_the_table_cap_before_any_series_work(capsys, mo
     code, out, err = run(capsys, "wreath", "2", "2000", "--brute")
     assert (code, out) == (3, "")
     assert err == "refused: W(2,2000) with 2^2000*2000! elements exceeds wreath-table cap=5000\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["wreath", "4000", "1", "--brute"], ["wreath", "9", "8", "--brute", "--wreath-cap", "10000000000000"]]
+)
+def test_wreath_brute_above_the_structure_ceiling_refused_before_listing(argv, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the group was listed before the structure ceiling refused")
+
+    monkeypatch.setattr(wreath, "enumerate_wreath", must_not_run)
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err.startswith(f"refused: W({argv[1]},{argv[2]}) structure check with |W|*k = ")
+    assert err.endswith(" commutation tests exceeds wreath structure ceiling=3000000\n")
 
 
 def test_wreath_series_order_refusal_text_is_pinned(capsys):

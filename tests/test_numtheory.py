@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import brute_divisors, log_coefficient
+from helpers import brute_divisors, divisor_weight, divisors, log_coefficient
 from tricomm import numtheory
 from tricomm.errors import CapExceeded
 
@@ -20,20 +20,20 @@ def primes_up_to(n):
 
 
 def test_divisors_examples():
-    assert numtheory.divisors(1) == [1]
-    assert numtheory.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert numtheory.divisors(13) == [1, 13]
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(13) == [1, 13]
 
 
 @given(st.integers(1, 2000))
 def test_divisors_match_brute_filter(n):
-    assert numtheory.divisors(n) == brute_divisors(n)
+    assert divisors(n) == brute_divisors(n)
 
 
 @pytest.mark.parametrize("bad", [0, -1, -12])
 def test_divisors_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
-        numtheory.divisors(bad)
+        divisors(bad)
     with pytest.raises(ValueError):
         numtheory.sigma(bad)
 
@@ -81,6 +81,7 @@ def test_log_coefficient_times_d_is_positive_integer():
 def test_divisor_weights_small():
     assert numtheory.divisor_weights(4) == [0, 1, 7, 13, 35]
     assert numtheory.divisor_weights(0) == [0]
+    assert numtheory.divisor_weights(6)[6] == divisor_weight(6) == 1 * 1 + 2 * 3 + 3 * 4 + 6 * 12
     report = numtheory.bound_check(4)
     assert report.d_max == 4
     assert report.equality_at_one
@@ -103,7 +104,7 @@ def test_divisor_weights_match_trial_division():
     weights = numtheory.divisor_weights(2000)
     assert len(weights) == 2001
     for d in range(1, 2001):
-        assert weights[d] == numtheory.divisor_weight(d)
+        assert weights[d] == divisor_weight(d)
 
 
 @pytest.mark.parametrize("d_max", [0, 1, 2, 3])
@@ -121,7 +122,7 @@ def test_divisor_weights_at_the_cap_match_trial_division():
     assert 2**19 in prime_powers and 3**12 in prime_powers and 997**2 in prime_powers
     sampled = prime_powers + [999_983, 999_958] + list(range(999_900, cap + 1))
     for d in sampled:
-        assert weights[d] == numtheory.divisor_weight(d), d
+        assert weights[d] == divisor_weight(d), d
 
 
 def test_bound_check_strict_to_the_cap():
@@ -132,10 +133,9 @@ def test_bound_check_strict_to_the_cap():
 
 def test_bound_check_never_divides(monkeypatch):
     def refuse(n):
-        raise AssertionError("bound_check must sieve, not call sigma or divisors")
+        raise AssertionError("bound_check must sieve, not call sigma")
 
     monkeypatch.setattr(numtheory, "sigma", refuse)
-    monkeypatch.setattr(numtheory, "divisors", refuse)
     report = numtheory.bound_check(100_000)
     assert report.equality_at_one
     assert report.all_strict_from_two
@@ -174,12 +174,3 @@ def test_bound_check_rejects_zero():
     with pytest.raises(ValueError):
         numtheory.bound_check(0)
 
-
-def test_divisor_weight_takes_a_sigma_table():
-    assert numtheory.divisor_weight(6) == 1 * 1 + 2 * 3 + 3 * 4 + 6 * 12
-    def shifted(n):
-        return numtheory.sigma(n) + (1 if n == 3 else 0)
-
-    # the weight moves by 3 * 1 at d = 6, which 3 divides, and not at d = 4
-    assert numtheory.divisor_weight(6, shifted) == numtheory.divisor_weight(6) + 3
-    assert numtheory.divisor_weight(4, shifted) == numtheory.divisor_weight(4)

@@ -137,6 +137,8 @@ def test_verify_identity_corrupted_sigma_in_either_branch(j, prefix_passes):
     assert (j * sigma_fn(j) < order) == prefix_passes
     report = pipeline.verify_identity(order, 4, sigma_fn=sigma_fn)
     assert report.first_disagreement == j
+    # The log check reads the sieve, not the corrupted table.
+    assert pipeline.check_log(report.product).first_mismatch == j
 
 
 def test_verify_log_small_values():
@@ -252,14 +254,18 @@ def test_routes_b_and_c_never_reach_sigma(monkeypatch):
     monkeypatch.setattr(numtheory, "sigma", forbidden)
     assert pipeline.coeffs_classes(60).coeffs == expected
     assert tuple(pipeline.coeffs_brute(7)) == A061256_PREFIX[:8]
+    # Nor does the log check: it sieves its weights.
+    assert pipeline.check_log(expected).ok
 
 
 def test_oracles_never_reach_the_code_they_check(monkeypatch):
-    # Route B's series form, the partition Euler product and route A's
-    # factor-by-factor product must not call the route, the partition
-    # numbers or the series code that they cross-check.
+    # Route B's series form, the partition Euler product, route A's
+    # factor-by-factor product and the log coefficients must not call the
+    # route, the partition numbers, the series code or the divisor sums
+    # that they cross-check.
     classes = pipeline.coeffs_classes(30)
     product = pipeline.coeffs_product(30)
+    weights = numtheory.divisor_weights(60)
     numbers = tuple(partitions.partition_numbers(60))
     assert classes.coeffs[:9] == A061256_PREFIX and numbers[60] == 966467
 
@@ -275,6 +281,9 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
     assert helpers.coeffs_classes_series(30) == classes
     assert helpers.partition_series(60).coeffs == numbers
     assert coeffs_product_by_mul(30) == product
+    monkeypatch.setattr(numtheory, "sigma", forbidden)
+    monkeypatch.setattr(numtheory, "divisor_weights", forbidden)
+    assert [helpers.log_coefficient(d) * d for d in range(1, 61)] == weights[1:]
 
 
 def test_readme_library_example_runs():

@@ -1,17 +1,13 @@
 """The scripts in `scripts/` run end to end, in a fresh interpreter or under `runpy`."""
 
 import dataclasses
-import os
 import runpy
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import ROOT, run_script
 from tricomm import wreath
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 CENSUS_T3_M3 = """\
@@ -32,19 +28,6 @@ CENSUS_T3_M3 = """\
 
 all groups consistent
 """
-
-
-def run_script(name, *args, timeout=60):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
 
 
 def test_wreath_census_honours_a_cap_above_the_table_default():
@@ -77,6 +60,23 @@ def test_wreath_census_refuses_an_empty_family(bound):
     assert result.returncode == 2
     assert result.stderr.count("\n") == 1 and "no wreath group" in result.stderr
     assert "all groups consistent" not in result.stdout
+
+
+def test_wreath_census_refuses_a_t_max_above_the_series_cap_before_listing_the_family():
+    # W(t, 0) has order 1 and fits any cap, so the family alone would hold
+    # one entry per t.
+    result = run_script("wreath_census.py", "--t-max", "4001", "--m-max", "0", timeout=5)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "refused: --t-max 4001 exceeds series-order cap=4000\n"
+
+
+def test_wreath_census_checks_its_whole_family_before_the_first_group():
+    # W(2,7) is the first group of this family above the structure ceiling;
+    # nothing is printed for the groups before it.
+    result = run_script("wreath_census.py", "--cap", "100000000", timeout=5)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("refused: W(2,7) structure check")
+    assert result.stderr.count("\n") == 1
 
 
 def test_wreath_census_exits_1_on_an_inconsistency(monkeypatch, capsys):

@@ -261,3 +261,18 @@ def test_structure_reports_on_small_family():
         report = class_structure_report(t, m)
         assert report.ok, (t, m, report)
         assert report.order == len(enumerate_wreath(t, m))
+
+
+def test_structure_ceiling_refuses_before_any_listing(monkeypatch):
+    # W(2,6) is the group closest to the ceiling: 46,080 elements * 65 classes.
+    assert wreath.STRUCTURE_CEILING == 3_000_000
+    assert 46_080 * k_wreath(2, 6) == 2_995_200
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a group was listed before the structure ceiling refused")
+
+    monkeypatch.setattr(wreath, "enumerate_wreath", must_not_run)
+    wreath.require_structure_check(2, 6, 46_080)
+    for t, m, cap in [(2, 7, 10**6), (4000, 1, 5000), (9, 8, 10**13), (1, 9, 10**30)]:
+        with pytest.raises(CapExceeded, match="wreath structure ceiling=3000000"):
+            class_structure_report(t, m, cap=cap)

@@ -5,8 +5,8 @@ For every W(t, m) that fits the order budget, compare the orbit-counted
 class number against the series count and the label enumeration, and check
 commuting pairs == order * classes.  Exits 1 if any group is inconsistent,
 2 if no group fits the bounds, and 3 if a bound is refused: a --t-max above
-the series-order cap, or any group of the family above a cap or the
-structure ceiling, all checked before the first group runs.
+the series-order cap, or any group of the family above the series-order cap
+or the structure ceiling, all checked before the first group runs.
 """
 
 import argparse
@@ -42,14 +42,14 @@ def census(args) -> int:
         )
         return 2
     for t, m in family:
-        require_structure_check(t, m, args.cap)
+        require_structure_check(t, m)
 
     header = f"{'group':>10} {'order':>6} {'classes':>8} {'series':>7} {'labels':>7} {'pairs':>9}  verdict"
     print(header)
     print("-" * len(header))
     all_ok = True
     for t, m in family:
-        rep = class_structure_report(t, m, cap=args.cap)
+        rep = class_structure_report(t, m)
         verdict = "ok" if rep.ok else "MISMATCH"
         all_ok &= rep.ok
         print(

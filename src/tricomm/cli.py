@@ -16,15 +16,13 @@ import sys
 from . import numtheory, pipeline
 from .errors import CapExceeded
 from .permgroup import (
-    DEFAULT_CENT_CAP,
-    DEFAULT_NAIVE_CAP,
+    NAIVE_CEILING,
     commuting_pairs,
     conjugacy_classes,
     enumerate_symmetric,
-    require_naive_degree,
     triples_naive,
 )
-from .wreath import DEFAULT_TABLE_CAP, class_structure_report, k_wreath, wreath_family
+from .wreath import class_structure_report, k_wreath, wreath_family
 
 # Small-group families swept by `verify`; sized to keep the command snappy.
 VERIFY_SYMMETRIC_MAX = 4
@@ -92,7 +90,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    coeffs = pipeline.coeffs_brute(args.order, cap=args.cent_cap)
+    coeffs = pipeline.coeffs_brute(args.order)
     return _emit(_render(coeffs, "brute", args.order, args), args.out)
 
 
@@ -101,7 +99,7 @@ def _cmd_wreath(args) -> int:
     if not args.brute:
         print(f"k(W({t},{m})) = {k_wreath(t, m)}")
         return 0
-    report = class_structure_report(t, m, cap=args.wreath_cap)
+    report = class_structure_report(t, m)
     k = report.series_class_count
     verdict = "match" if report.brute_class_count == k else "MISMATCH"
     print(f"k(W({t},{m})) = {k}, brute = {report.brute_class_count}, {verdict}")
@@ -119,14 +117,10 @@ def _cmd_wreath(args) -> int:
 
 def _cmd_verify(args) -> int:
     sigma_fn = _sigma_fn(args)
-    naive_max = min(args.brute_max, args.naive_cap)
-    # Checked up front, so a refusal costs no route's work.
-    require_naive_degree(naive_max, args.naive_cap)
+    naive_max = min(args.brute_max, NAIVE_CEILING)
     failed = False
 
-    report = pipeline.verify_identity(
-        args.order, args.brute_max, sigma_fn=sigma_fn, cap=args.cent_cap
-    )
+    report = pipeline.verify_identity(args.order, args.brute_max, sigma_fn=sigma_fn)
     if report.overall:
         print(
             f"identity: product == classes on 0..{args.order}, "
@@ -176,7 +170,7 @@ def _cmd_verify(args) -> int:
     naive_bad = [
         n
         for n in range(naive_max + 1)
-        if triples_naive(n, cap=args.naive_cap) != report.brute[n] * math.factorial(n)
+        if triples_naive(n) != report.brute[n] * math.factorial(n)
     ]
     if naive_bad:
         print(f"naive triple count: FAILED at n = {naive_bad[0]}")
@@ -217,15 +211,6 @@ def _cmd_growth(args) -> int:
     return _emit("".join(line + "\n" for line in lines), args.out)
 
 
-def cap(text: str) -> int:
-    """argparse type of the cap flags: refused below 0 before any work.
-    Named for argparse's "invalid cap value" message on a non-integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"a cap must be >= 0, got {value}")
-    return value
-
-
 def _add_output_flags(sub) -> None:
     sub.add_argument(
         "--format",
@@ -264,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     brute = commands.add_parser("brute", help="route C: brute-force triple counts / n!")
     brute.add_argument("-N", "--order", type=int, required=True)
-    brute.add_argument("--cent-cap", type=cap, default=DEFAULT_CENT_CAP)
     _add_output_flags(brute)
     brute.set_defaults(func=_cmd_brute)
 
@@ -276,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also enumerate the group and count classes by conjugation orbits",
     )
-    wreath_cmd.add_argument("--wreath-cap", type=cap, default=DEFAULT_TABLE_CAP)
     wreath_cmd.set_defaults(func=_cmd_wreath)
 
     verify = commands.add_parser(
@@ -284,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("-N", "--order", type=int, required=True)
     verify.add_argument("-K", "--brute-max", type=int, required=True)
-    verify.add_argument("--naive-cap", type=cap, default=DEFAULT_NAIVE_CAP)
-    verify.add_argument("--cent-cap", type=cap, default=DEFAULT_CENT_CAP)
     verify.add_argument("--corrupt-sigma", type=int, default=None, help=argparse.SUPPRESS)
     verify.set_defaults(func=_cmd_verify)
 

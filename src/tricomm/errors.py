@@ -2,11 +2,13 @@
 
 
 class CapExceeded(RuntimeError):
-    """A routine refused to run because a resource cap was hit.
+    """A routine refused to run because a resource limit was hit.
 
-    Caps guard the combinatorial explosions (n! tables, (n!)^3 triple loops,
-    t^m*m! wreath tables) and the memory of the divisor-sum bound scan.  The
-    message always names the cap so callers can raise it deliberately.
+    Each limit is a measured constant, checked before any work: the
+    series-order and bound-check caps, and one ceiling per brute-force
+    layer (S_n tables, route C's centralizers, the naive (n!)^3 triple
+    loop, t^m*m! wreath tables and their structure check).  The message
+    names the limit and its value.
     """
 
     def __init__(self, what: str, cap_name: str, cap: int):

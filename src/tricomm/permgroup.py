@@ -21,17 +21,19 @@ from .partitions import Partition, centralizer_order, enumerate_partitions
 
 Perm = tuple[int, ...]
 
-DEFAULT_NAIVE_CAP = 5
-DEFAULT_CENT_CAP = 8
-# Route C refuses a degree above this whatever the cap says.  Degree 10
-# (`brute -N 10 --cent-cap 10`) takes about 2.7 s and 42 MB (Python 3.11,
-# 2 vCPUs).  Degree 11 was not run: Cent of type (2,1^9) alone has 725,760
-# elements, about 100 MB as tuples before its index dict.
+# One limit per brute-force layer, each refused before any work.
+# `enumerate_symmetric` lists S_n up to this degree: S_8 has 40,320 elements.
+SYMMETRIC_CEILING = 8
+# Route C refuses a degree above this.  Degree 9 (`brute -N 9`) takes about
+# 0.6 s and degree 10 about 3.0 s and 42 MB (Python 3.11, 2 vCPUs).  Degree
+# 11 was not run: Cent of type (2,1^9) alone has 725,760 elements, about
+# 100 MB as tuples before its index dict.
 CENT_CEILING = 10
-# The naive oracle refuses a degree above this whatever its cap says.
-# `triples_naive(6)` takes about 0.6 s (Python 3.11, 2 vCPUs).  Degree 7 was
-# not run: its 5040^2 / 2 pair tests are about 49 times degree 6's, about 30 s.
-NAIVE_CEILING = 6
+# The naive oracle refuses a degree above this, the top of `verify`'s naive
+# range.  Degree 6 takes about 0.6 s (Python 3.11, 2 vCPUs), which would be
+# added to every `verify -K 6` and above; degree 7, with 49 times its pair
+# tests, about 30 s.
+NAIVE_CEILING = 5
 
 
 def identity_perm(degree: int) -> Perm:
@@ -126,13 +128,15 @@ def symmetric_generators(n: int) -> tuple[Perm, ...]:
     return (swap, cycle)
 
 
-def enumerate_symmetric(n: int, *, cap: int = DEFAULT_CENT_CAP) -> GroupTable:
+def enumerate_symmetric(n: int) -> GroupTable:
     """The full symmetric group on n points as a table, in lexicographic
     order of one-line tuples.  n = 0 and n = 1 yield the trivial group."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceeded(f"S_{n} with {n}! elements", "symmetric-table cap", cap)
+    if n > SYMMETRIC_CEILING:
+        raise CapExceeded(
+            f"S_{n} with {n}! elements", "symmetric-table ceiling", SYMMETRIC_CEILING
+        )
     return GroupTable(
         elements=tuple(itertools.permutations(range(n))),
         mul=compose,
@@ -295,27 +299,15 @@ def _count_commuting(x: Perm, elements: tuple[Perm, ...]) -> int:
     return sum(1 for h in elements if tuple(map(x_of, h)) == of_x(h))
 
 
-def require_cent_degree(n: int, cap: int) -> None:
-    """Refuse route C at degree n above `cap`, or above CENT_CEILING
-    whatever `cap` says."""
-    what = f"centralizer triple count in S_{n}"
-    if n > cap:
-        raise CapExceeded(what, "centralizer cap", cap)
+def require_cent_degree(n: int) -> None:
+    """Refuse route C at degree n above CENT_CEILING."""
     if n > CENT_CEILING:
-        raise CapExceeded(what, "centralizer ceiling", CENT_CEILING)
+        raise CapExceeded(
+            f"centralizer triple count in S_{n}", "centralizer ceiling", CENT_CEILING
+        )
 
 
-def require_naive_degree(n: int, cap: int) -> None:
-    """Refuse the naive oracle at degree n above `cap`, or above
-    NAIVE_CEILING whatever `cap` says."""
-    what = f"naive triple count over ({n}!)^3"
-    if n > cap:
-        raise CapExceeded(what, "naive cap", cap)
-    if n > NAIVE_CEILING:
-        raise CapExceeded(what, "naive ceiling", NAIVE_CEILING)
-
-
-def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
+def triples_naive(n: int) -> int:
     """Count ordered triples of pairwise-commuting permutations of n points
     by direct enumeration.
 
@@ -327,8 +319,9 @@ def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    require_naive_degree(n, cap)
-    table = enumerate_symmetric(n, cap=cap)
+    if n > NAIVE_CEILING:
+        raise CapExceeded(f"naive triple count over ({n}!)^3", "naive ceiling", NAIVE_CEILING)
+    table = enumerate_symmetric(n)
     elems = table.elements
     commutes = table.commutes
     size = len(elems)
@@ -350,7 +343,7 @@ def triples_naive(n: int, *, cap: int = DEFAULT_NAIVE_CAP) -> int:
     return total
 
 
-def triples_centralizer(n: int, *, cap: int = DEFAULT_CENT_CAP) -> int:
+def triples_centralizer(n: int) -> int:
     """Count ordered pairwise-commuting triples in S_n via centralizers.
 
     Triples whose first element is g are in bijection with commuting pairs
@@ -365,7 +358,7 @@ def triples_centralizer(n: int, *, cap: int = DEFAULT_CENT_CAP) -> int:
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    require_cent_degree(n, cap)
+    require_cent_degree(n)
     n_fact = factorial(n)
     ident = identity_perm(n)
     pairs = n_fact  # r = id commutes with all of S_n

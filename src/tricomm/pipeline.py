@@ -16,9 +16,9 @@ from itertools import accumulate
 from typing import Callable
 
 from . import numtheory, series
-from .partitions import enumerate_partitions
-from .permgroup import DEFAULT_CENT_CAP, require_cent_degree, triples_centralizer
-from .wreath import k_wreath, k_wreath_series
+from .permgroup import require_cent_degree, triples_centralizer
+# k_wreath is unused here but stays bound: perfbench/tracer.py pins it.
+from .wreath import k_wreath, k_wreath_series  # noqa: F401
 
 
 def _require_series_order(order: int) -> None:
@@ -66,8 +66,6 @@ def coeffs_classes(order: int) -> series.IntSeries:
     partition numbers), so each row is a fresh copy of P, truncated at
     order // t, multiplied in place by the previous row: one
     `imul_substituted` per row, the kernel that also multiplies w.
-    `class_count_by_types` is the same sum with every partition spelled
-    out, kept as a slow cross-check.
     """
     _require_series_order(order)
     row_1 = list(k_wreath_series(1, order).coeffs)
@@ -81,28 +79,15 @@ def coeffs_classes(order: int) -> series.IntSeries:
     return series.IntSeries(tuple(w))
 
 
-def class_count_by_types(n: int) -> int:
-    """Route B, literal form: walk every partition of n explicitly, with
-    each class count k_wreath(t, m), t*m <= n, read once up front."""
-    k = {(t, m): k_wreath(t, m) for t in range(1, n + 1) for m in range(1, n // t + 1)}
-    total = 0
-    for ct in enumerate_partitions(n):
-        w = 1
-        for t, m in ct.multiplicities().items():
-            w *= k[t, m]
-        total += w
-    return total
-
-
-def coeffs_brute(n_max: int, *, cap: int = DEFAULT_CENT_CAP) -> list[int]:
+def coeffs_brute(n_max: int) -> list[int]:
     """Route C: triple counts divided (exactly) by n!, for n = 0..n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     # Checked up front, so a refusal costs no degree's work.
-    require_cent_degree(n_max, cap)
+    require_cent_degree(n_max)
     out = []
     for n in range(n_max + 1):
-        triples = triples_centralizer(n, cap=cap)
+        triples = triples_centralizer(n)
         quotient, remainder = divmod(triples, math.factorial(n))
         if remainder:
             raise ArithmeticError(
@@ -141,7 +126,6 @@ def verify_identity(
     brute_max: int,
     *,
     sigma_fn: Callable[[int], int] = numtheory.sigma,
-    cap: int = DEFAULT_CENT_CAP,
 ) -> CoefficientReport:
     """Run all three routes and compare them index by index.
 
@@ -153,7 +137,7 @@ def verify_identity(
             f"need order >= brute_max >= 0, got order={order}, brute_max={brute_max}"
         )
     _require_series_order(order)
-    c = coeffs_brute(brute_max, cap=cap)
+    c = coeffs_brute(brute_max)
     a = coeffs_product(order, sigma_fn=sigma_fn)
     b = coeffs_classes(order)
     agreements = tuple(

@@ -34,13 +34,13 @@ from .permgroup import (
     symmetric_generators,
 )
 
-DEFAULT_TABLE_CAP = 5000
-# `class_structure_report` refuses a group whose |W| * k(W) is above this,
-# whatever the table cap says: its pair count tests each class's first
-# element against every element, |W| * k(W) commutation tests of 2-3 us
-# each.  Closest to the ceiling, `wreath 2 6 --brute` (46,080 elements, 65
-# classes, 2,995,200 tests) takes about 7.1 s and 31 MB, startup included
-# (Python 3.11, 2 vCPUs); W(5,4) (2,850,000 tests) about the same.
+# `enumerate_wreath`, and with it `class_structure_report`, refuses a group
+# whose |W| * k(W) is above this: the structure check's pair count tests
+# each class's first element against every element, |W| * k(W) commutation
+# tests of 2-3 us each.  Closest to the ceiling, `wreath 2 6 --brute`
+# (46,080 elements, 65 classes, 2,995,200 tests) takes about 9 s and 31 MB,
+# startup included (Python 3.11, 2 vCPUs); W(5,4) (2,850,000 tests) about
+# the same.
 STRUCTURE_CEILING = 3_000_000
 
 
@@ -132,18 +132,11 @@ def _order_exceeds(t: int, m: int, cap: int) -> bool:
     return order > cap
 
 
-def _require_table(t: int, m: int, cap: int) -> None:
-    if _order_exceeds(t, m, cap):
-        raise CapExceeded(f"W({t},{m}) with {t}^{m}*{m}! elements", "wreath-table cap", cap)
+def enumerate_wreath(t: int, m: int) -> GroupTable:
+    """All t^m * m! elements of W(t, m) as a table, colors-major order.
 
-
-def enumerate_wreath(t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP) -> GroupTable:
-    """All t^m * m! elements of W(t, m) as a table, colors-major order."""
-    if t < 1:
-        raise ValueError(f"modulus must be >= 1, got {t}")
-    if m < 0:
-        raise ValueError(f"point count must be >= 0, got {m}")
-    _require_table(t, m, cap)
+    `require_structure_check` refuses before any listing."""
+    require_structure_check(t, m)
     perms = tuple(itertools.permutations(range(m)))
     elements = tuple(
         WreathElement(colors, perm, t)
@@ -188,8 +181,9 @@ def k_wreath(t: int, m: int) -> int:
 
 def _check_series_order(t: int, m_max: int) -> None:
     """Refuse a class-count row W(t, 0..m_max) that is malformed or whose
-    t*max(m_max, 1) is above the series-order cap: the row takes t - 1
-    multiplies, so t itself is bounded even when m_max is 0."""
+    t*max(m_max, 1) is above the series-order cap.  t is a row index, and
+    route B reads row t only up to its order, so t itself is held to the
+    cap even when m_max is 0."""
     if t < 1:
         raise ValueError(f"modulus must be >= 1, got {t}")
     if m_max < 0:
@@ -204,7 +198,8 @@ def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     """Class counts of W(t, m) for all m <= m_max: the partition series P
     raised to the power t as a running product, as route B builds its rows:
     t - 1 times, a fresh copy of P is multiplied in place by the previous
-    row with `series.imul_substituted`.
+    row with `series.imul_substituted`.  Truncated at order 0, P^t is 1, so
+    m_max = 0 takes no multiply.
 
     Route B reads no row with t*m above its order, so t*max(m_max, 1) is
     held to the series-order cap, refused before any work.
@@ -212,7 +207,7 @@ def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
     _check_series_order(t, m_max)
     p = partition_numbers(m_max)
     row = p
-    for _ in range(t - 1):
+    for _ in range(t - 1 if m_max else 0):
         next_row = p[:]
         series.imul_substituted(next_row, row, 1)
         row = next_row
@@ -244,13 +239,18 @@ def enumerate_class_labels(t: int, m: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def require_structure_check(t: int, m: int, cap: int) -> None:
-    """Refuse `class_structure_report(t, m, cap=cap)` before any listing:
-    the series-order cap, then the table cap, then STRUCTURE_CEILING on
-    |W| * k(W).  Since k(W) <= |W|, k(W) is read only when |W|^2 is above
-    the ceiling."""
+def require_structure_check(t: int, m: int) -> None:
+    """Refuse W(t, m) before any listing: the series-order cap, then
+    |W| above STRUCTURE_CEILING, named symbolically however large, then
+    |W| * k(W) above it.  Since k(W) <= |W|, k(W) is read only when |W|^2
+    is above the ceiling."""
     _check_series_order(t, m)
-    _require_table(t, m, cap)
+    if _order_exceeds(t, m, STRUCTURE_CEILING):
+        raise CapExceeded(
+            f"W({t},{m}) with {t}^{m}*{m}! elements",
+            "wreath structure ceiling",
+            STRUCTURE_CEILING,
+        )
     order = t**m * math.factorial(m)
     if order * order > STRUCTURE_CEILING:
         tests = order * k_wreath(t, m)
@@ -297,9 +297,7 @@ class StructureReport:
         )
 
 
-def class_structure_report(
-    t: int, m: int, *, cap: int = DEFAULT_TABLE_CAP
-) -> StructureReport:
+def class_structure_report(t: int, m: int) -> StructureReport:
     """Compare orbit conjugacy, invariant equality, class labels, the series
     class count and the commuting-pair identity on one wreath group.
 
@@ -308,10 +306,10 @@ def class_structure_report(
     exactly the all-pairs statement "conjugate iff equal invariants".  The
     listed labels must be exactly the invariants that occur, each once.
 
-    `require_structure_check` refuses before any listing.
+    `enumerate_wreath` refuses, by `require_structure_check`, before any
+    listing.
     """
-    require_structure_check(t, m, cap)
-    table = enumerate_wreath(t, m, cap=cap)
+    table = enumerate_wreath(t, m)
     cc = conjugacy_classes(table)
     blocks: dict = {}
     for i, g in enumerate(table.elements):

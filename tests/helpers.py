@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from tricomm import numtheory, series, wreath
+from tricomm import numtheory, partitions, series, wreath
 
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
 # order within the 5000-element budget already has t <= 9, and the m <= 1
@@ -188,6 +188,19 @@ def coeffs_classes_series(order: int) -> series.IntSeries:
         p_t = power(p, t, order // t)
         result = mul(substitute_power(p_t, t, order), result, order)
     return result
+
+
+def class_count_by_types(n: int) -> int:
+    """Reference route B, literal form: walk every partition of n explicitly,
+    with each class count k_wreath(t, m), t*m <= n, read once up front."""
+    k = {(t, m): wreath.k_wreath(t, m) for t in range(1, n + 1) for m in range(1, n // t + 1)}
+    total = 0
+    for ct in partitions.enumerate_partitions(n):
+        w = 1
+        for t, m in ct.multiplicities().items():
+            w *= k[t, m]
+        total += w
+    return total
 
 
 def log(f, order: int) -> tuple[Fraction, ...]:

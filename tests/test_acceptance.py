@@ -78,7 +78,7 @@ def test_criterion_02_brute_force_anchor_degree_8():
 
 
 def test_criterion_02_brute_force_anchor_degree_9():
-    brute = pipeline.coeffs_brute(9, cap=9)
+    brute = pipeline.coeffs_brute(9)
     product = pipeline.coeffs_product(9)
     report(
         2,

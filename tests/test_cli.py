@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tricomm import numtheory, pipeline, series, wreath
+from tricomm import cli, numtheory, pipeline, series, wreath
 from tricomm.cli import main
 
 
@@ -152,10 +152,16 @@ def test_verify_corrupted_wreath_row_names_index(capsys, monkeypatch):
     assert "FIRST DISAGREEMENT at index 5" in out
 
 
-def test_verify_brute_max_above_cap_refused(capsys):
-    code, _, err = run(capsys, "verify", "-N", "9", "-K", "9")
-    assert code == 3
-    assert "centralizer cap" in err
+def must_not_run(*args, **kwargs):
+    raise AssertionError("work done before the refusal")
+
+
+def test_verify_brute_max_above_cap_refused(capsys, monkeypatch):
+    for route in ("triples_centralizer", "coeffs_product", "coeffs_classes"):
+        monkeypatch.setattr(pipeline, route, must_not_run)
+    code, out, err = run(capsys, "verify", "-N", "11", "-K", "11")
+    assert (code, out) == (3, "")
+    assert err == "refused: centralizer triple count in S_11 exceeds centralizer ceiling=10\n"
 
 
 @pytest.mark.parametrize(
@@ -168,24 +174,32 @@ def test_verify_brute_max_above_cap_refused(capsys):
     ],
 )
 def test_negative_cap_is_a_usage_error_before_any_work(argv, capsys):
+    # No subcommand takes a cap flag: each is an unrecognized argument.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "a cap must be >= 0, got -1" in captured.err
+    assert f"unrecognized arguments: {argv[-2]} -1" in captured.err
 
 
-def test_brute_above_cap_refused(capsys):
-    code, _, err = run(capsys, "brute", "-N", "9")
-    assert code == 3
-    assert "cap" in err
+@pytest.mark.parametrize("command", ["brute", "verify", "wreath"])
+def test_help_lists_no_cap_flag(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "usage: tricomm " + command in out
+    assert "-cap" not in out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["brute", "-N", "11", "--cent-cap", "11"], ["verify", "-N", "11", "-K", "11", "--cent-cap", "11"]],
-)
+def test_brute_above_cap_refused(capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "triples_centralizer", must_not_run)
+    code, out, err = run(capsys, "brute", "-N", "11")
+    assert (code, out) == (3, "")
+    assert err == "refused: centralizer triple count in S_11 exceeds centralizer ceiling=10\n"
+
+
+@pytest.mark.parametrize("argv", [["brute", "-N", "11"], ["verify", "-N", "11", "-K", "11"]])
 def test_route_c_above_the_degree_ceiling_refused_whatever_the_cap(argv):
     # A refusal is immediate; a run of degree 11 would take far longer than
     # the timeout.
@@ -202,21 +216,27 @@ def test_route_c_above_the_degree_ceiling_refused_whatever_the_cap(argv):
     )
 
 
-def test_verify_naive_range_above_the_ceiling_refused_before_any_route(capsys, monkeypatch):
-    # min(K, --naive-cap) = 8 would list S_8 for about 8*10^8 commutation tests.
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a route ran before the naive-ceiling refusal")
+def test_verify_naive_range_stops_at_the_ceiling(capsys, monkeypatch):
+    # Route C runs to K = 8; the naive oracle, which would list S_8 for about
+    # 8*10^8 commutation tests, stops at the naive ceiling.
+    degrees = []
+    honest = cli.triples_naive
 
-    for route in ("coeffs_brute", "coeffs_product", "coeffs_classes"):
-        monkeypatch.setattr(pipeline, route, must_not_run)
-    code, out, err = run(capsys, "verify", "-N", "8", "-K", "8", "--cent-cap", "8", "--naive-cap", "8")
-    assert (code, out) == (3, "")
-    assert err == "refused: naive triple count over (8!)^3 exceeds naive ceiling=6\n"
+    def recording(n):
+        degrees.append(n)
+        return honest(n)
+
+    monkeypatch.setattr(cli, "triples_naive", recording)
+    code, out, err = run(capsys, "verify", "-N", "8", "-K", "8")
+    assert (code, err) == (0, "")
+    assert "== brute on 0..8: ok\n" in out
+    assert out.endswith("naive triple count: ok on 0..5\nVERIFIED\n")
+    assert degrees == list(range(6))
 
 
 @pytest.mark.slow
 def test_brute_at_the_degree_ceiling_matches_expand(capsys):
-    code, out, err = run(capsys, "brute", "-N", "10", "--cent-cap", "10")
+    code, out, err = run(capsys, "brute", "-N", "10")
     assert (code, err) == (0, "")
     assert out == run(capsys, "expand", "-N", "10")[1]
     assert out.endswith("\n10 1316\n")  # A061256
@@ -344,15 +364,20 @@ def test_wreath_without_brute(capsys):
 def test_wreath_brute_above_cap_refused(capsys):
     code, out, err = run(capsys, "wreath", "3", "6", "--brute")
     assert (code, out) == (3, "")
-    assert err == "refused: W(3,6) with 3^6*6! elements exceeds wreath-table cap=5000\n"
+    assert err == (
+        "refused: W(3,6) structure check with |W|*k = 115998480 commutation tests "
+        "exceeds wreath structure ceiling=3000000\n"
+    )
 
 
 @pytest.mark.parametrize("t, m", [("1", "1700"), ("2", "1500"), ("1", "4000")])
 def test_wreath_brute_refusal_names_a_huge_order_symbolically(t, m, capsys):
     code, out, err = run(capsys, "wreath", t, m, "--brute")
     assert (code, out) == (3, "")
-    assert err.startswith("refused: ") and err.count("\n") == 1
-    assert "wreath-table cap=5000" in err
+    assert err == (
+        f"refused: W({t},{m}) with {t}^{m}*{m}! elements "
+        "exceeds wreath structure ceiling=3000000\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [["wreath", "2", "2001"], ["wreath", "4001", "1", "--brute"]])
@@ -366,7 +391,8 @@ def test_wreath_above_series_order_cap_refused(argv, capsys):
 
 @pytest.mark.parametrize("argv", [["wreath", "4001", "0"], ["wreath", "1000000000", "0", "--brute"]])
 def test_wreath_modulus_above_series_order_cap_refused_at_m_zero(argv):
-    # P^t takes t - 1 multiplies even at m = 0, so t alone is held to the cap.
+    # t is a row index, and route B reads row t only up to its order, so t
+    # alone is held to the cap.
     result = subprocess.run(
         [sys.executable, "-m", "tricomm.cli", *argv],
         capture_output=True,
@@ -379,24 +405,19 @@ def test_wreath_modulus_above_series_order_cap_refused_at_m_zero(argv):
     assert f"class count with t = {argv[1]} exceeds series-order cap=4000" in result.stderr
 
 
-def test_wreath_brute_refuses_on_the_table_cap_before_any_series_work(capsys, monkeypatch):
-    def must_not_run(t, m_max):
-        raise AssertionError("k_wreath_series ran before the table cap refused")
-
+def test_wreath_brute_refuses_a_huge_order_before_any_series_work(capsys, monkeypatch):
     monkeypatch.setattr(wreath, "k_wreath_series", must_not_run)
     code, out, err = run(capsys, "wreath", "2", "2000", "--brute")
     assert (code, out) == (3, "")
-    assert err == "refused: W(2,2000) with 2^2000*2000! elements exceeds wreath-table cap=5000\n"
+    assert err == (
+        "refused: W(2,2000) with 2^2000*2000! elements exceeds wreath structure ceiling=3000000\n"
+    )
 
 
-@pytest.mark.parametrize(
-    "argv", [["wreath", "4000", "1", "--brute"], ["wreath", "9", "8", "--brute", "--wreath-cap", "10000000000000"]]
-)
+@pytest.mark.parametrize("argv", [["wreath", "4000", "1", "--brute"], ["wreath", "2", "7", "--brute"]])
 def test_wreath_brute_above_the_structure_ceiling_refused_before_listing(argv, capsys, monkeypatch):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("the group was listed before the structure ceiling refused")
-
-    monkeypatch.setattr(wreath, "enumerate_wreath", must_not_run)
+    # No element of the group is built before the refusal.
+    monkeypatch.setattr(wreath, "WreathElement", must_not_run)
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 0.5

@@ -1,6 +1,6 @@
 """No input ends in a traceback: every numeric argument of every subcommand
-and of both scripts at -1, 0, 1, 10^30 and a non-integer, and every cap
-flag at -1 and at 10^30, exits with the code README documents.
+and of both scripts at -1, 0, 1, 10^30 and a non-integer, and each removed
+cap flag at -1 and at 10^30, exits with the code README documents.
 
 Each row holds one argument at "{}" and the others at cheap values, so every
 run either refuses or finishes well under a second.  CLI rows run in-process
@@ -35,12 +35,12 @@ CLI_ROWS = [
     (["growth", "-N", "{}"], (2, 2, 0, 3, 2)),
 ]
 
-# Exit codes in CAP_VALUES order.
+# No subcommand takes a cap flag: each is a usage error at any value.
 CAP_ROWS = [
-    (["brute", "-N", "3", "--cent-cap", "{}"], (2, 0)),
-    (["wreath", "2", "2", "--brute", "--wreath-cap", "{}"], (2, 0)),
-    (["verify", "-N", "5", "-K", "3", "--naive-cap", "{}"], (2, 0)),
-    (["verify", "-N", "5", "-K", "3", "--cent-cap", "{}"], (2, 0)),
+    (["brute", "-N", "3", "--cent-cap", "{}"], (2, 2)),
+    (["wreath", "2", "2", "--brute", "--wreath-cap", "{}"], (2, 2)),
+    (["verify", "-N", "5", "-K", "3", "--naive-cap", "{}"], (2, 2)),
+    (["verify", "-N", "5", "-K", "3", "--cent-cap", "{}"], (2, 2)),
 ]
 
 SCRIPT_ROWS = [

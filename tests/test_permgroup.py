@@ -46,12 +46,8 @@ def test_enumerate_symmetric_sizes():
 
 
 def test_enumerate_symmetric_cap_guard():
-    with pytest.raises(CapExceeded, match="cap=8"):
+    with pytest.raises(CapExceeded, match="S_9 with 9! elements exceeds symmetric-table ceiling=8"):
         enumerate_symmetric(9)
-    # the cap is configuration, not a hard limit
-    assert len(enumerate_symmetric(4, cap=4)) == 24
-    with pytest.raises(CapExceeded):
-        enumerate_symmetric(5, cap=4)
 
 
 def test_table_contains_identity_and_is_closed_spot_check():
@@ -278,12 +274,9 @@ def test_triples_naive_examples():
 
 
 def test_triples_naive_cap_guard():
-    with pytest.raises(CapExceeded, match="naive cap"):
-        triples_naive(6)
-    with pytest.raises(CapExceeded):
-        triples_naive(4, cap=3)
-    with pytest.raises(CapExceeded, match="naive ceiling=6"):
-        triples_naive(7, cap=7)
+    for n in (6, 7):
+        with pytest.raises(CapExceeded, match=rf"over \({n}!\)\^3 exceeds naive ceiling=5"):
+            triples_naive(n)
 
 
 def test_triples_centralizer_examples():
@@ -299,7 +292,7 @@ def test_triples_centralizer_matches_naive():
 
 def test_triples_centralizer_matches_a079860_up_to_degree_9():
     expected = [1, 1, 8, 48, 504, 4680, 66240, 856800, 14515200, 242040960]
-    assert [triples_centralizer(n, cap=9) for n in range(10)] == expected
+    assert [triples_centralizer(n) for n in range(10)] == expected
 
 
 def test_triples_centralizer_never_lists_the_identitys_centralizer(monkeypatch):
@@ -342,12 +335,9 @@ def test_triples_centralizer_sweeps_no_table_of_order_n_factorial(monkeypatch):
 
 
 def test_triples_centralizer_cap_guard():
-    with pytest.raises(CapExceeded, match="centralizer cap"):
-        triples_centralizer(9)
-    # The ceiling holds whatever the cap says.
-    for cap in (11, 10**30):
+    for n in (11, 10**30):
         with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
-            triples_centralizer(11, cap=cap)
+            triples_centralizer(n)
 
 
 def test_factorial_divides_triple_counts():

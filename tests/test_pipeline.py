@@ -60,7 +60,7 @@ def test_coeffs_classes_examples():
 def test_class_count_by_types_matches_canonical():
     c = pipeline.coeffs_classes(30)
     for n in range(31):
-        assert pipeline.class_count_by_types(n) == c[n]
+        assert helpers.class_count_by_types(n) == c[n]
 
 
 def test_classes_series_form_matches_canonical():
@@ -73,29 +73,25 @@ def test_coeffs_brute_examples():
 
 
 def test_coeffs_brute_cap():
-    with pytest.raises(CapExceeded):
-        pipeline.coeffs_brute(9)
+    with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
+        pipeline.coeffs_brute(11)
 
 
 def test_coeffs_brute_refuses_before_any_degree(monkeypatch):
-    def must_not_run(n, cap):
-        raise AssertionError(f"degree {n} computed before the cap refusal")
+    def must_not_run(n):
+        raise AssertionError(f"degree {n} computed before the ceiling refusal")
 
     monkeypatch.setattr(pipeline, "triples_centralizer", must_not_run)
-    with pytest.raises(CapExceeded, match="centralizer cap=4"):
-        pipeline.coeffs_brute(5, cap=4)
-    with pytest.raises(CapExceeded, match="centralizer cap"):
-        pipeline.verify_identity(9, 9)
     with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
-        pipeline.coeffs_brute(11, cap=11)
+        pipeline.coeffs_brute(11)
     with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
-        pipeline.verify_identity(11, 11, cap=11)
+        pipeline.verify_identity(11, 11)
 
 
 def test_coeffs_brute_flags_inexact_division(monkeypatch):
     from tricomm import pipeline as pl
 
-    monkeypatch.setattr(pl, "triples_centralizer", lambda n, cap: 7)
+    monkeypatch.setattr(pl, "triples_centralizer", lambda n: 7)
     with pytest.raises(ArithmeticError, match="not divisible"):
         pl.coeffs_brute(2)
 

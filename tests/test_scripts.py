@@ -30,13 +30,16 @@ all groups consistent
 """
 
 
-def test_wreath_census_honours_a_cap_above_the_table_default():
-    # S_7 = W(1, 7) has 5040 elements, above the 5000-element default cap
-    # of `class_structure_report`.
+def test_wreath_census_cap_is_only_the_order_bound():
+    # S_7 = W(1, 7) has 5040 elements; only --cap and the structure ceiling
+    # bound the family.
     result = run_script("wreath_census.py", "--cap", "5040", "--t-max", "1", "--m-max", "7")
     assert result.returncode == 0, result.stderr
     assert "W(1,7)" in result.stdout
     assert "all groups consistent" in result.stdout
+    below = run_script("wreath_census.py", "--cap", "5039", "--t-max", "1", "--m-max", "7")
+    assert below.returncode == 0, below.stderr
+    assert "W(1,6)" in below.stdout and "W(1,7)" not in below.stdout
 
 
 def test_wreath_census_output_is_pinned():
@@ -70,6 +73,17 @@ def test_wreath_census_refuses_a_t_max_above_the_series_cap_before_listing_the_f
     assert result.stderr == "refused: --t-max 4001 exceeds series-order cap=4000\n"
 
 
+def test_wreath_census_at_m_zero_takes_no_multiplies():
+    # Every W(t, 0) for t <= 4000: P^t truncated at order 0 is 1, so the
+    # class counts take no series work.
+    result = run_script("wreath_census.py", "--t-max", "4000", "--m-max", "0", timeout=3)
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2 + 4000 + 2
+    assert lines[-3] == f"{'W(4000,0)':>10} {1:>6} {1:>8} {1:>7} {1:>7} {1:>9}  ok"
+    assert lines[-1] == "all groups consistent"
+
+
 def test_wreath_census_checks_its_whole_family_before_the_first_group():
     # W(2,7) is the first group of this family above the structure ceiling;
     # nothing is printed for the groups before it.
@@ -82,8 +96,8 @@ def test_wreath_census_checks_its_whole_family_before_the_first_group():
 def test_wreath_census_exits_1_on_an_inconsistency(monkeypatch, capsys):
     report = wreath.class_structure_report
 
-    def pair_count_off_by_one(t, m, *, cap):
-        rep = report(t, m, cap=cap)
+    def pair_count_off_by_one(t, m):
+        rep = report(t, m)
         return dataclasses.replace(rep, commuting_pairs=rep.commuting_pairs + 1)
 
     monkeypatch.setattr(wreath, "class_structure_report", pair_count_off_by_one)

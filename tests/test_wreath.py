@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import partition_series, power, substitute_power, wreath_family
-from tricomm import wreath
+from tricomm import series, wreath
 from tricomm.errors import CapExceeded
 from tricomm.partitions import partition_count
 from tricomm.permgroup import conjugacy_classes
@@ -126,10 +126,10 @@ def test_enumerate_wreath_sizes_and_caps():
     assert len(enumerate_wreath(2, 2)) == 8
     assert len(enumerate_wreath(1, 3)) == 6
     assert len(enumerate_wreath(3, 1)) == 3
-    with pytest.raises(CapExceeded, match="wreath-table cap"):
+    with pytest.raises(CapExceeded, match=r"W\(10,5\) with 10\^5\*5! elements exceeds wreath"):
         enumerate_wreath(10, 5)
-    with pytest.raises(CapExceeded):
-        enumerate_wreath(2, 2, cap=7)
+    with pytest.raises(CapExceeded, match=r"W\(3,6\) structure check"):
+        enumerate_wreath(3, 6)
 
 
 def test_trivial_color_group_behaves_like_symmetric_group():
@@ -196,6 +196,15 @@ def test_k_wreath_series_matches_fresh_power():
     cases = [(t, m) for t in range(1, 6) for m in range(0, 31)]
     for t, m in cases + [(4000, 1), (63, 63), (16, 250), (2, 1000)]:
         assert wreath.k_wreath_series(t, m) == power(partition_series(m), t, m)
+
+
+def test_k_wreath_series_at_order_zero_takes_no_multiply(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("P^t truncated at order 0 multiplied")
+
+    monkeypatch.setattr(series, "imul_substituted", must_not_run)
+    for t in (1, 2, 4000):
+        assert wreath.k_wreath_series(t, 0).coeffs == (1,)
 
 
 def test_k_wreath_series_cap_refuses_before_any_work(monkeypatch):
@@ -271,8 +280,8 @@ def test_structure_ceiling_refuses_before_any_listing(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a group was listed before the structure ceiling refused")
 
-    monkeypatch.setattr(wreath, "enumerate_wreath", must_not_run)
-    wreath.require_structure_check(2, 6, 46_080)
-    for t, m, cap in [(2, 7, 10**6), (4000, 1, 5000), (9, 8, 10**13), (1, 9, 10**30)]:
+    monkeypatch.setattr(wreath, "WreathElement", must_not_run)
+    wreath.require_structure_check(2, 6)
+    for t, m in [(2, 7), (4000, 1), (9, 8), (1, 9), (2, 2000)]:
         with pytest.raises(CapExceeded, match="wreath structure ceiling=3000000"):
-            class_structure_report(t, m, cap=cap)
+            class_structure_report(t, m)

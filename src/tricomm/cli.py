@@ -9,7 +9,6 @@ produce byte-identical files.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -38,6 +37,8 @@ def _format_csv(coeffs) -> str:
 
 
 def _format_json(coeffs, method: str, order: int, no_meta: bool) -> str:
+    import json  # only --format json needs it, so start-up skips it
+
     if no_meta:
         payload: object = list(coeffs)
     else:

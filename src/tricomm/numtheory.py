@@ -8,7 +8,6 @@ only as a range (`divisor_weights`, read by `pipeline.check_log` and by
 pass that builds sigma at prime powers itself and never calls `sigma`.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
@@ -83,8 +82,7 @@ class BoundFailure(NamedTuple):
     rhs: int  # d**4, not above lhs
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of scanning `w(d) < d**4` over d = 1..d_max, w as in
     `divisor_weights`.
 

@@ -5,21 +5,20 @@ parts.  The same object doubles as a cycle type: read part t with
 multiplicity m as "m cycles of length t" via `multiplicities()`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
-    parts: tuple[int, ...]
+class Partition(namedtuple("Partition", "parts")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __new__(cls, parts):
+        parts = tuple(parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be non-increasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
     @property
     def size(self) -> int:

@@ -11,9 +11,8 @@ job is to report, including on deliberately corrupted inputs.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import numtheory, series
 from .permgroup import require_cent_degree, triples_centralizer
@@ -98,8 +97,7 @@ def coeffs_brute(n_max: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """Coefficientwise comparison of the three routes."""
 
     order: int
@@ -153,8 +151,7 @@ def verify_identity(
     )
 
 
-@dataclass(frozen=True)
-class LogReport:
+class LogReport(NamedTuple):
     order: int
     ok: bool
     first_mismatch: int | None
@@ -190,8 +187,7 @@ def check_log(a: tuple[int, ...]) -> LogReport:
     return LogReport(order=order, ok=True, first_mismatch=None)
 
 
-@dataclass(frozen=True)
-class GrowthPoint:
+class GrowthPoint(NamedTuple):
     n: int
     coefficient: int
     root: float  # coefficient ** (1/n), presentation only

@@ -8,7 +8,7 @@ product kernel, the in-place product of a list with a row in u^step
 (`imul_substituted`), the factor (1 - u)^(-s) and the series-order cap.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded
 
@@ -28,18 +28,17 @@ def require_order_within_cap(order: int, subject: str) -> None:
         raise CapExceeded(subject, "series-order cap", SERIES_ORDER_CAP)
 
 
-@dataclass(frozen=True, slots=True)
-class IntSeries:
-    coeffs: tuple[int, ...]
+class IntSeries(namedtuple("IntSeries", "coeffs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __new__(cls, coeffs):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series carries at least the constant term")
         for kind in set(map(type, coeffs)):
             if not issubclass(kind, int):
                 raise TypeError(f"integer coefficients only, got {kind.__name__}")
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def order(self) -> int:

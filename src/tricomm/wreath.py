@@ -18,7 +18,6 @@ total size m, residue z's partition listing the lengths paired with z.
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import series
@@ -262,8 +261,7 @@ def require_structure_check(t: int, m: int) -> None:
             )
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Full brute-force cross-check of one wreath group's class structure.
 
     `labels_match_orbits`: the sorted listed labels equal the sorted set of

@@ -503,3 +503,21 @@ def test_cli_import_loads_no_fractions():
         timeout=60,
     )
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # Every command pays for what `import tricomm.cli` loads: the records are
+    # namedtuples, and json is imported only by `--format json`.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; before = set(sys.modules); import tricomm.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

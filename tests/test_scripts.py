@@ -1,6 +1,5 @@
 """The scripts in `scripts/` run end to end, in a fresh interpreter or under `runpy`."""
 
-import dataclasses
 import runpy
 import sys
 
@@ -98,7 +97,7 @@ def test_wreath_census_exits_1_on_an_inconsistency(monkeypatch, capsys):
 
     def pair_count_off_by_one(t, m):
         rep = report(t, m)
-        return dataclasses.replace(rep, commuting_pairs=rep.commuting_pairs + 1)
+        return rep._replace(commuting_pairs=rep.commuting_pairs + 1)
 
     monkeypatch.setattr(wreath, "class_structure_report", pair_count_off_by_one)
     monkeypatch.setattr(sys, "argv", ["wreath_census.py", "--t-max", "2", "--m-max", "2"])

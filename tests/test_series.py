@@ -45,8 +45,10 @@ def test_mul_partition_series_against_euler_polynomial():
 
 
 def test_series_reject_inexact_coefficients():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="integer coefficients only, got float"):
         IntSeries((1, 0.5))
+    with pytest.raises(ValueError, match="at least the constant term"):
+        IntSeries(())
 
 
 @given(same_order_series(count=2))

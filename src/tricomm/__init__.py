@@ -38,14 +38,10 @@ from .pipeline import (
 )
 from .series import IntSeries
 from .wreath import (
-    WreathElement,
     cycle_sum_invariants,
     enumerate_class_labels,
     enumerate_wreath,
     k_wreath,
-    w_inv,
-    w_mul,
-    wreath_element,
 )
 
 __version__ = "0.1.0"
@@ -55,7 +51,6 @@ __all__ = [
     "GroupTable",
     "IntSeries",
     "Partition",
-    "WreathElement",
     "bound_check",
     "centralizer_order",
     "coeffs_brute",
@@ -77,7 +72,4 @@ __all__ = [
     "triples_naive",
     "verify_identity",
     "verify_log",
-    "w_inv",
-    "w_mul",
-    "wreath_element",
 ]

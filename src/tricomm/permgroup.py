@@ -1,56 +1,61 @@
 """Concrete symmetric-group machinery and generic finite-group brute force.
 
-Permutations are 0-indexed one-line tuples: `g[i]` is the image of point i.
-The composition convention is fixed once here and used everywhere:
+Permutations are 0-indexed one-line `bytes`: `g[i]` is the image of point
+i, so a permutation moves at most `POINT_LIMIT` (256) points.  The
+composition convention is fixed once here and used everywhere:
 
     compose(g, h)(i) = g(h(i))        # h first, then g
 
-`GroupTable` packages an explicit element list with its group operations so
-the class/pair/triple counters below work for any finite group we can list
-(symmetric groups here, wreath products in `tricomm.wreath`).
+which is one `bytes.translate` of h through g, padded to the 256-byte table
+that `translate` takes.
+
+`GroupTable` packages an explicit list of such permutations with its
+generators, so the class/pair/triple counters below work for any finite
+permutation group we can list (symmetric groups and centralizers here,
+wreath products embedded in S_(t*m) in `tricomm.wreath`).
 """
 
 import itertools
-from functools import lru_cache
 from math import factorial
-from operator import itemgetter
-from typing import Callable
 
 from .errors import CapExceeded
 from .partitions import Partition, centralizer_order, enumerate_partitions
 
-Perm = tuple[int, ...]
+Perm = bytes
+
+# `bytes.translate` takes a table of exactly 256 bytes: `g + PAD[len(g):]`.
+PAD = bytes(256)
+POINT_LIMIT = len(PAD)
 
 # One limit per brute-force layer, each refused before any work.
 # `enumerate_symmetric` lists S_n up to this degree: S_8 has 40,320 elements.
 SYMMETRIC_CEILING = 8
-# Route C refuses a degree above this.  Degree 9 (`brute -N 9`) takes about
-# 0.6 s and degree 10 about 3.0 s and 42 MB (Python 3.11, 2 vCPUs).  Degree
-# 11 was not run: Cent of type (2,1^9) alone has 725,760 elements, about
-# 100 MB as tuples before its index dict.
-CENT_CEILING = 10
+# Route C refuses a degree above this.  `brute -N 10` takes about 0.5 s and
+# 26 MB, and `brute -N 11` about 3.5 s and 145 MB, start-up included
+# (medians of 3 runs; Python 3.11, 2 vCPUs).  Degree 12 is out of reach:
+# Cent of type (2,1^10) alone has 7,257,600 elements.
+CENT_CEILING = 11
 # The naive oracle refuses a degree above this, the top of `verify`'s naive
-# range.  Degree 6 takes about 0.6 s (Python 3.11, 2 vCPUs), which would be
+# range.  Degree 6 takes about 0.13 s (Python 3.11, 2 vCPUs), which would be
 # added to every `verify -K 6` and above; degree 7, with 49 times its pair
-# tests, about 30 s.
+# tests, about 6.4 s.
 NAIVE_CEILING = 5
 
 
 def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
+    return bytes(range(degree))
 
 
 def compose(g: Perm, h: Perm) -> Perm:
     """Product g*h under the convention (g*h)(i) = g(h(i))."""
-    return tuple(map(g.__getitem__, h))
+    return h.translate(g + PAD[len(g):])
 
 
-@lru_cache(maxsize=None)
 def inverse_perm(g: Perm) -> Perm:
-    out = [0] * len(g)
+    out = bytearray(len(g))
     for i, v in enumerate(g):
         out[v] = i
-    return tuple(out)
+    return bytes(out)
 
 
 def perm_cycles(g: Perm) -> list[list[int]]:
@@ -77,32 +82,22 @@ def cycle_type(g: Perm) -> Partition:
 
 
 class GroupTable:
-    """An explicitly listed finite group.
+    """An explicitly listed permutation group.
 
-    `elements` is a deterministic tuple of hashable values closed under the
-    operation; `mul`/`inv` implement the group law; `commutes` is an
-    optional short-circuit predicate equivalent to mul(x,y) == mul(y,x);
-    `generators` must generate the group; conjugacy orbits are closed under
-    them, so only a table of order 1 may go without.
+    `elements` is a deterministic tuple of `bytes` permutations of one
+    degree, closed under `compose`; `generators` must generate the group;
+    conjugacy orbits are closed under them, so only a table of order 1 may
+    go without.  `mul` is `compose` as this module binds it when the table
+    is built.
     """
 
-    def __init__(
-        self,
-        elements: tuple,
-        mul: Callable,
-        inv: Callable,
-        name: str = "",
-        generators: tuple = (),
-        commutes: Callable | None = None,
-    ):
+    def __init__(self, elements: tuple, name: str = "", generators: tuple = ()):
         self.elements = tuple(elements)
         if len(self.elements) > 1 and not generators:
             raise ValueError(f"{name or 'table'} of order > 1 has no generators")
-        self.mul = mul
-        self.inv = inv
+        self.mul = compose
         self.name = name
         self.generators = tuple(generators)
-        self.commutes = commutes if commutes is not None else self._mul_commutes
         self._index: dict | None = None
 
     def _mul_commutes(self, x, y) -> bool:
@@ -122,15 +117,15 @@ def symmetric_generators(n: int) -> tuple[Perm, ...]:
     if n < 2:
         return ()
     if n == 2:
-        return ((1, 0),)
-    swap = (1, 0) + tuple(range(2, n))
-    cycle = tuple(range(1, n)) + (0,)
+        return (b"\x01\x00",)
+    swap = bytes((1, 0, *range(2, n)))
+    cycle = bytes((*range(1, n), 0))
     return (swap, cycle)
 
 
 def enumerate_symmetric(n: int) -> GroupTable:
     """The full symmetric group on n points as a table, in lexicographic
-    order of one-line tuples.  n = 0 and n = 1 yield the trivial group."""
+    order of one-line forms.  n = 0 and n = 1 yield the trivial group."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n > SYMMETRIC_CEILING:
@@ -138,9 +133,7 @@ def enumerate_symmetric(n: int) -> GroupTable:
             f"S_{n} with {n}! elements", "symmetric-table ceiling", SYMMETRIC_CEILING
         )
     return GroupTable(
-        elements=tuple(itertools.permutations(range(n))),
-        mul=compose,
-        inv=inverse_perm,
+        elements=tuple(map(bytes, itertools.permutations(range(n)))),
         name=f"S_{n}",
         generators=symmetric_generators(n),
     )
@@ -163,13 +156,13 @@ def centralizer_generators(g: Perm) -> tuple[Perm, ...]:
     gens = []
     for length, cycles in _cycles_by_length(g).items():
         if length > 1:
-            gens.append(tuple(g[i] if i in cycles[0] else i for i in range(len(g))))
+            gens.append(bytes(g[i] if i in cycles[0] else i for i in range(len(g))))
         for s in symmetric_generators(len(cycles)):
-            images = list(range(len(g)))
+            images = bytearray(range(len(g)))
             for k, cycle in enumerate(cycles):
                 for point, image in zip(cycle, cycles[s[k]]):
                     images[point] = image
-            gens.append(tuple(images))
+            gens.append(bytes(images))
     return tuple(gens)
 
 
@@ -180,38 +173,32 @@ def centralizer(g: Perm) -> GroupTable:
     of g's cycles of length t: each element sends those cycles to one
     another, rotating each.  With the cycles written point after point, an
     element's images in that order are one concatenation of rotated cycles
-    per block, and one `itemgetter` over the points' positions puts them in
-    one-line form.  `generators` are `centralizer_generators(g)`.
+    per block, and one `translate` through them of the points' positions
+    puts them in one-line form.  `generators` are
+    `centralizer_generators(g)`.
     """
-    if len(g) < 2:
-        elements = [identity_perm(len(g))]
-    else:
-        flatten = itertools.chain.from_iterable
-        blocks = _cycles_by_length(g)
-        block_images = []
-        for same_length in blocks.values():
-            rotations = [
-                [tuple(c[k:] + c[:k]) for k in range(len(c))] for c in same_length
-            ]
-            block_images.append([
-                tuple(flatten(choice))
-                for targets in itertools.permutations(rotations)
-                for choice in itertools.product(*targets)
-            ])
-        points = [p for same_length in blocks.values() for c in same_length for p in c]
-        position = [0] * len(g)
-        for k, p in enumerate(points):
-            position[p] = k
-        one_line = itemgetter(*position)
-        elements = sorted(
-            one_line(tuple(flatten(images)))
-            for images in itertools.product(*block_images)
-        )
+    blocks = _cycles_by_length(g)
+    block_images = []
+    for same_length in blocks.values():
+        rotations = [[bytes(c[k:] + c[:k]) for k in range(len(c))] for c in same_length]
+        block_images.append([
+            b"".join(choice)
+            for targets in itertools.permutations(rotations)
+            for choice in itertools.product(*targets)
+        ])
+    points = [p for same_length in blocks.values() for c in same_length for p in c]
+    position = bytearray(len(g))
+    for k, p in enumerate(points):
+        position[p] = k
+    position = bytes(position)
+    pad = PAD[len(g):]
+    elements = sorted(
+        position.translate(b"".join(images) + pad)
+        for images in itertools.product(*block_images)
+    )
     return GroupTable(
         elements=tuple(elements),
-        mul=compose,
-        inv=inverse_perm,
-        name=f"Cent({g})",
+        name=f"Cent({tuple(g)})",
         generators=centralizer_generators(g),
     )
 
@@ -223,28 +210,33 @@ def conjugacy_classes(table: GroupTable) -> tuple[tuple[int, ...], ...]:
     representative; classes are ordered by it.  The orbit of each element
     is closed under conjugation by the table's generators only: the same
     partition as conjugating by every element, with far fewer products.
+    A generator that commutes with every other one is central and moves
+    nothing, so it is skipped.  s*x*s^-1 is two `translate`s: x through s,
+    then s^-1 through that.
     """
     elems = table.elements
-    mul, inv = table.mul, table.inv
     index = table.index
-    conjugators = [(s, inv(s)) for s in table.generators]
+    pad = PAD[len(elems[0]):]
+    gens = table.generators
+    conjugators = [
+        (s + pad, inverse_perm(s))
+        for s in gens
+        if any(compose(s, u) != compose(u, s) for u in gens)
+    ]
     assigned = [False] * len(elems)
     classes = []
-    for i, g in enumerate(elems):
+    for i in range(len(elems)):
         if assigned[i]:
             continue
-        orbit = {i}
-        frontier = [g]
         assigned[i] = True
-        while frontier:
-            x = frontier.pop()
-            for s, s_inv in conjugators:
-                h = mul(mul(s, x), s_inv)
-                j = index[h]
+        orbit = [i]
+        for k in orbit:  # the orbit grows as it is walked
+            x = elems[k]
+            for s_table, s_inv in conjugators:
+                j = index[s_inv.translate(x.translate(s_table) + pad)]
                 if not assigned[j]:
                     assigned[j] = True
-                    orbit.add(j)
-                    frontier.append(h)
+                    orbit.append(j)
         classes.append(tuple(sorted(orbit)))
     return tuple(classes)
 
@@ -260,12 +252,7 @@ def commuting_pairs(table: GroupTable, classes: tuple[tuple[int, ...], ...]) -> 
     verified.
     """
     elems = table.elements
-    commutes = table.commutes
-    total = 0
-    for cls in classes:
-        rep = elems[cls[0]]
-        total += len(cls) * sum(1 for h in elems if commutes(rep, h))
-    return total
+    return sum(len(cls) * _count_commuting(elems[cls[0]], elems) for cls in classes)
 
 
 def centralizer_pairs(g: Perm, table: GroupTable) -> int:
@@ -276,8 +263,8 @@ def centralizer_pairs(g: Perm, table: GroupTable) -> int:
     r's class in Cent(g).  For each class representative r, that
     intersection is counted by listing the smaller of Cent(g) and Cent(r)
     (both listed directly by `centralizer`) and testing each element against
-    the other of g and r, inline: x*h == h*x compares `map(x.__getitem__, h)`
-    with `itemgetter(*x)(h)`.  `centralizer_order` only picks the side to list.
+    the other of g and r with `_count_commuting`.  `centralizer_order` only
+    picks the side to list.
     """
     elems = table.elements
     total = 0
@@ -292,11 +279,11 @@ def centralizer_pairs(g: Perm, table: GroupTable) -> int:
 
 
 def _count_commuting(x: Perm, elements: tuple[Perm, ...]) -> int:
-    """How many of `elements` commute with x, each by a direct test."""
-    if len(x) < 2:
-        return len(elements)  # all commute; itemgetter(*x) would not give a tuple
-    x_of, of_x = x.__getitem__, itemgetter(*x)
-    return sum(1 for h in elements if tuple(map(x_of, h)) == of_x(h))
+    """How many of `elements` commute with x, each by a direct test written
+    inline: x*h == h*x compares h through x with x through h."""
+    pad = PAD[len(x):]
+    x_table = x + pad
+    return sum(1 for h in elements if h.translate(x_table) == x.translate(h + pad))
 
 
 def require_cent_degree(n: int) -> None:
@@ -314,8 +301,9 @@ def triples_naive(n: int) -> int:
     Per element, the set of commuting partners is stored as a bitmask built
     from one explicit commutation test per unordered pair; a triple
     (a, b, c) is counted by intersecting the masks of a commuting pair
-    (a, b).  The loop shares no code with route C or `commuting_pairs`, so
-    `verify` uses it as an independent oracle.
+    (a, b).  Each test is two `compose` calls through `_mul_commutes`; the
+    loop shares no code with route C or `commuting_pairs`, so `verify` uses
+    it as an independent oracle.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -323,7 +311,7 @@ def triples_naive(n: int) -> int:
         raise CapExceeded(f"naive triple count over ({n}!)^3", "naive ceiling", NAIVE_CEILING)
     table = enumerate_symmetric(n)
     elems = table.elements
-    commutes = table.commutes
+    commutes = table._mul_commutes
     size = len(elems)
     masks = [1 << i for i in range(size)]
     for i in range(size):
@@ -377,10 +365,10 @@ def triples_centralizer(n: int) -> int:
 def permutation_of_type(ct: Partition) -> Perm:
     """Canonical permutation with the given cycle type: consecutive cycles
     on 0..n-1, largest first."""
-    images = list(range(ct.size))
+    images = bytearray(range(ct.size))
     start = 0
     for length in ct.parts:
         for k in range(length):
             images[start + k] = start + (k + 1) % length
         start += length
-    return tuple(images)
+    return bytes(images)

@@ -7,17 +7,24 @@ factors are built from `math.comb`.  Only the `IntSeries` container comes
 from the library.  Divisor sums are found by trial division here, where
 the library sieves them.  P^t is powered here by repeated squaring (`power`),
 where production builds it as a running product.  Formal log/exp work on
-plain tuples of `Fraction`; the library itself is integer-only.
+plain tuples of `Fraction`; the library itself is integer-only.  The
+library composes `bytes` permutations with `bytes.translate`; the
+reference product here indexes tuples.  The library lists W(t, m) as
+permutations of t*m points; the wreath group law on (colors, perm) pairs
+lives here, as the reference the embedding is checked against.
 """
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from tricomm import numtheory, partitions, series, wreath
+from tricomm.permgroup import inverse_perm, perm_cycles
 
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
 # order within the 5000-element budget already has t <= 9, and the m <= 1
@@ -95,7 +102,7 @@ def centralizer_by_filter(g, table) -> tuple:
 def conjugacy_classes_full_sweep(table):
     """Reference orbit partition: each orbit conjugates its first element by
     every element of the table; no generators."""
-    elems, mul, inv, index = table.elements, table.mul, table.inv, table.index
+    elems, mul, inv, index = table.elements, table.mul, inverse_perm, table.index
     assigned = [False] * len(elems)
     classes = []
     for i, g in enumerate(elems):
@@ -106,6 +113,92 @@ def conjugacy_classes_full_sweep(table):
             assigned[j] = True
         classes.append(tuple(sorted(orbit)))
     return tuple(classes)
+
+
+def tuple_compose(g, h) -> tuple:
+    """Reference product g*h, (g*h)(i) = g(h(i)), as a tuple."""
+    return tuple(g[i] for i in h)
+
+
+def tuple_inverse(g) -> tuple:
+    """Reference inverse as a tuple."""
+    out = [0] * len(g)
+    for i, v in enumerate(g):
+        out[v] = i
+    return tuple(out)
+
+
+class WreathElement(NamedTuple):
+    """(colors, perm) in W(modulus, len(perm)), the reference form."""
+
+    colors: tuple[int, ...]
+    perm: tuple[int, ...]
+    modulus: int
+
+
+def wreath_element(colors, perm, modulus: int) -> WreathElement:
+    """Validating constructor for a W(modulus, len(colors)) element."""
+    colors = tuple(colors)
+    perm = tuple(perm)
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if len(colors) != len(perm):
+        raise ValueError(
+            f"{len(colors)} colors cannot ride a permutation of {len(perm)} points"
+        )
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError(f"not a permutation: {perm}")
+    if any(not 0 <= c < modulus for c in colors):
+        raise ValueError(f"colors must lie in 0..{modulus - 1}: {colors}")
+    return WreathElement(colors, perm, modulus)
+
+
+def w_mul(x: WreathElement, y: WreathElement) -> WreathElement:
+    """Reference law (A, e) * (B, f) = (A + B.e, e*f), (B.e)[i] = B[e^-1(i)]."""
+    ax, ex, t = x
+    ay, ey, u = y
+    if t != u or len(ax) != len(ay):
+        raise ValueError(f"elements of W({t},{len(ax)}) and W({u},{len(ay)}) do not multiply")
+    ex_inv = tuple_inverse(ex)
+    colors = tuple((a + ay[j]) % t for a, j in zip(ax, ex_inv))
+    return WreathElement(colors, tuple_compose(ex, ey), t)
+
+
+def w_inv(x: WreathElement) -> WreathElement:
+    a, e, t = x
+    colors = tuple((-a[e[i]]) % t for i in range(len(a)))
+    return WreathElement(colors, tuple_inverse(e), t)
+
+
+def wreath_elements(t: int, m: int) -> tuple[WreathElement, ...]:
+    """Every element of W(t, m) in the reference form, colors-major: the
+    order in which `wreath.enumerate_wreath` lists their images."""
+    perms = tuple(itertools.permutations(range(m)))
+    return tuple(
+        WreathElement(colors, perm, t)
+        for colors in itertools.product(range(t), repeat=m)
+        for perm in perms
+    )
+
+
+def embed(x: WreathElement) -> bytes:
+    """The library's image of x in S_(t*m)."""
+    return wreath.embed(x.colors, x.perm, x.modulus)
+
+
+def decode(image: bytes, t: int, m: int) -> WreathElement:
+    """Read (colors, perm) back from an image in S_(t*m): its first m points
+    carry A[e(i)] * m + e(i)."""
+    colors = [0] * m
+    for v in image[:m]:
+        colors[v % m] = v // m
+    return WreathElement(tuple(colors), tuple(v % m for v in image[:m]), t)
+
+
+def invariants_of(x: WreathElement) -> tuple[tuple[int, int], ...]:
+    """Reference cycle-sum invariants, summed from the colors themselves."""
+    a, e, t = x
+    return tuple(sorted((sum(a[i] for i in c) % t, len(c)) for c in perm_cycles(e)))
 
 
 def one(order: int) -> series.IntSeries:

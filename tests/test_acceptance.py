@@ -144,7 +144,9 @@ def test_criterion_05_invariant_conjugacy_matches_orbits():
             orbit_of = {i: ci for ci, cls in enumerate(cc) for i in cls}
             for i, x in enumerate(table.elements):
                 for j, y in enumerate(table.elements):
-                    same_invariants = cycle_sum_invariants(x) == cycle_sum_invariants(y)
+                    same_invariants = cycle_sum_invariants(x, t, m) == cycle_sum_invariants(
+                        y, t, m
+                    )
                     if same_invariants != (orbit_of[i] == orbit_of[j]):
                         bad.append(f"W({t},{m}) pair {i},{j}")
     elapsed = time.monotonic() - start

@@ -159,9 +159,9 @@ def must_not_run(*args, **kwargs):
 def test_verify_brute_max_above_cap_refused(capsys, monkeypatch):
     for route in ("triples_centralizer", "coeffs_product", "coeffs_classes"):
         monkeypatch.setattr(pipeline, route, must_not_run)
-    code, out, err = run(capsys, "verify", "-N", "11", "-K", "11")
+    code, out, err = run(capsys, "verify", "-N", "12", "-K", "12")
     assert (code, out) == (3, "")
-    assert err == "refused: centralizer triple count in S_11 exceeds centralizer ceiling=10\n"
+    assert err == "refused: centralizer triple count in S_12 exceeds centralizer ceiling=11\n"
 
 
 @pytest.mark.parametrize(
@@ -194,14 +194,14 @@ def test_help_lists_no_cap_flag(command, capsys):
 
 def test_brute_above_cap_refused(capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "triples_centralizer", must_not_run)
-    code, out, err = run(capsys, "brute", "-N", "11")
+    code, out, err = run(capsys, "brute", "-N", "12")
     assert (code, out) == (3, "")
-    assert err == "refused: centralizer triple count in S_11 exceeds centralizer ceiling=10\n"
+    assert err == "refused: centralizer triple count in S_12 exceeds centralizer ceiling=11\n"
 
 
-@pytest.mark.parametrize("argv", [["brute", "-N", "11"], ["verify", "-N", "11", "-K", "11"]])
+@pytest.mark.parametrize("argv", [["brute", "-N", "12"], ["verify", "-N", "12", "-K", "12"]])
 def test_route_c_above_the_degree_ceiling_refused_whatever_the_cap(argv):
-    # A refusal is immediate; a run of degree 11 would take far longer than
+    # A refusal is immediate; a run of degree 12 would take far longer than
     # the timeout.
     result = subprocess.run(
         [sys.executable, "-m", "tricomm.cli", *argv],
@@ -212,7 +212,7 @@ def test_route_c_above_the_degree_ceiling_refused_whatever_the_cap(argv):
     )
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr == (
-        "refused: centralizer triple count in S_11 exceeds centralizer ceiling=10\n"
+        "refused: centralizer triple count in S_12 exceeds centralizer ceiling=11\n"
     )
 
 
@@ -236,10 +236,10 @@ def test_verify_naive_range_stops_at_the_ceiling(capsys, monkeypatch):
 
 @pytest.mark.slow
 def test_brute_at_the_degree_ceiling_matches_expand(capsys):
-    code, out, err = run(capsys, "brute", "-N", "10")
+    code, out, err = run(capsys, "brute", "-N", "11")
     assert (code, err) == (0, "")
-    assert out == run(capsys, "expand", "-N", "10")[1]
-    assert out.endswith("\n10 1316\n")  # A061256
+    assert out == run(capsys, "expand", "-N", "11")[1]
+    assert out.endswith("\n10 1316\n11 2393\n")  # A061256
 
 
 def test_classes_order_1000_exits_cleanly(capsys):
@@ -341,7 +341,9 @@ def test_invariants_without_residues_fail_the_structure_checks(capsys, monkeypat
     # 0, W(2,1)'s two classes share one invariant.  W(1, m) is unaffected.
     invariants = wreath.cycle_sum_invariants
     monkeypatch.setattr(
-        wreath, "cycle_sum_invariants", lambda x: tuple(sorted((0, n) for _, n in invariants(x)))
+        wreath,
+        "cycle_sum_invariants",
+        lambda x, t, m: tuple(sorted((0, n) for _, n in invariants(x, t, m))),
     )
     code, out, _ = run(capsys, "wreath", "2", "2", "--brute")
     assert code == 1
@@ -417,7 +419,7 @@ def test_wreath_brute_refuses_a_huge_order_before_any_series_work(capsys, monkey
 @pytest.mark.parametrize("argv", [["wreath", "4000", "1", "--brute"], ["wreath", "2", "7", "--brute"]])
 def test_wreath_brute_above_the_structure_ceiling_refused_before_listing(argv, capsys, monkeypatch):
     # No element of the group is built before the refusal.
-    monkeypatch.setattr(wreath, "WreathElement", must_not_run)
+    monkeypatch.setattr(wreath, "embed", must_not_run)
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 0.5

@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import pytest
@@ -7,6 +8,8 @@ from helpers import (
     centralizer_by_filter,
     commuting_pairs_double_loop,
     conjugacy_classes_full_sweep,
+    tuple_compose,
+    tuple_inverse,
 )
 from tricomm import permgroup
 from tricomm.errors import CapExceeded
@@ -35,7 +38,7 @@ from tricomm.wreath import enumerate_wreath
 
 
 def perms(n):
-    return st.permutations(list(range(n))).map(tuple)
+    return st.permutations(list(range(n))).map(bytes)
 
 
 def test_enumerate_symmetric_sizes():
@@ -60,6 +63,21 @@ def test_table_contains_identity_and_is_closed_spot_check():
             assert compose(g, h) in table.index
 
 
+def test_kernel_matches_the_tuple_reference_on_all_of_s5():
+    s5 = list(itertools.permutations(range(5)))
+    for g in s5:
+        assert inverse_perm(bytes(g)) == bytes(tuple_inverse(g))
+        for h in s5:
+            assert compose(bytes(g), bytes(h)) == bytes(tuple_compose(g, h))
+
+
+def test_compose_and_inverse_at_the_point_limit():
+    g = bytes(range(1, 256)) + b"\x00"
+    assert compose(g, inverse_perm(g)) == identity_perm(256)
+    assert compose(g, g) == bytes(tuple_compose(g, g))
+    assert compose(b"", b"") == identity_perm(0)
+
+
 @given(perms(5), perms(5), perms(5))
 def test_composition_is_associative_and_respects_inverse(g, h, k):
     assert compose(compose(g, h), k) == compose(g, compose(h, k))
@@ -68,16 +86,16 @@ def test_composition_is_associative_and_respects_inverse(g, h, k):
 
 
 def test_composition_convention_right_factor_acts_first():
-    g = (1, 0, 2)  # swaps 0,1
-    h = (0, 2, 1)  # swaps 1,2
+    g = bytes((1, 0, 2))  # swaps 0,1
+    h = bytes((0, 2, 1))  # swaps 1,2
     gh = compose(g, h)
     assert gh[2] == g[h[2]] == 0
 
 
 def test_cycle_type_examples():
     assert cycle_type(identity_perm(4)) == Partition((1, 1, 1, 1))
-    assert cycle_type((1, 0, 3, 2)) == Partition((2, 2))
-    assert cycle_type((1, 2, 3, 4, 0)) == Partition((5,))
+    assert cycle_type(bytes((1, 0, 3, 2))) == Partition((2, 2))
+    assert cycle_type(bytes((1, 2, 3, 4, 0))) == Partition((5,))
 
 
 def test_permutation_of_type_realizes_its_type():
@@ -94,17 +112,19 @@ def test_cycle_type_is_conjugation_invariant(g, x):
 
 def test_centralizer_examples():
     assert len(centralizer(identity_perm(4))) == 24
-    assert len(centralizer((1, 0, 2))) == 2
-    assert len(centralizer((1, 0, 3, 2))) == 8
-    assert centralizer((1, 2, 0)).elements == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert centralizer(()).elements == ((),)
+    assert len(centralizer(bytes((1, 0, 2)))) == 2
+    assert len(centralizer(bytes((1, 0, 3, 2)))) == 8
+    assert centralizer(bytes((1, 2, 0))).elements == tuple(
+        map(bytes, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    )
+    assert centralizer(b"").elements == (b"",)
 
 
 def scattered_conjugates_of_each_type(n):
     """Per cycle type of n, `permutation_of_type` and its conjugate by the
     shuffle that lists the even points before the odd ones, whose cycles
     are not runs of consecutive points."""
-    shuffle = tuple(range(0, n, 2)) + tuple(range(1, n, 2))
+    shuffle = bytes((*range(0, n, 2), *range(1, n, 2)))
     for ct in enumerate_partitions(n):
         g = permutation_of_type(ct)
         yield g
@@ -131,8 +151,9 @@ def test_centralizer_of_identity_is_the_symmetric_table():
 
 def test_group_table_refuses_missing_generators():
     with pytest.raises(ValueError, match="no generators"):
-        GroupTable(((0, 1), (1, 0)), compose, inverse_perm, name="S_2")
-    trivial = GroupTable(((0,),), compose, inverse_perm)
+        GroupTable((b"\x00\x01", b"\x01\x00"), name="S_2")
+    trivial = GroupTable((b"\x00",))
+    assert trivial.mul is compose
     assert len(conjugacy_classes(trivial)) == 1
 
 
@@ -335,8 +356,8 @@ def test_triples_centralizer_sweeps_no_table_of_order_n_factorial(monkeypatch):
 
 
 def test_triples_centralizer_cap_guard():
-    for n in (11, 10**30):
-        with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
+    for n in (12, 10**30):
+        with pytest.raises(CapExceeded, match="centralizer ceiling=11"):
             triples_centralizer(n)
 
 

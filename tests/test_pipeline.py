@@ -73,8 +73,8 @@ def test_coeffs_brute_examples():
 
 
 def test_coeffs_brute_cap():
-    with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
-        pipeline.coeffs_brute(11)
+    with pytest.raises(CapExceeded, match="centralizer ceiling=11"):
+        pipeline.coeffs_brute(12)
 
 
 def test_coeffs_brute_refuses_before_any_degree(monkeypatch):
@@ -82,10 +82,10 @@ def test_coeffs_brute_refuses_before_any_degree(monkeypatch):
         raise AssertionError(f"degree {n} computed before the ceiling refusal")
 
     monkeypatch.setattr(pipeline, "triples_centralizer", must_not_run)
-    with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
-        pipeline.coeffs_brute(11)
-    with pytest.raises(CapExceeded, match="centralizer ceiling=10"):
-        pipeline.verify_identity(11, 11)
+    with pytest.raises(CapExceeded, match="centralizer ceiling=11"):
+        pipeline.coeffs_brute(12)
+    with pytest.raises(CapExceeded, match="centralizer ceiling=11"):
+        pipeline.verify_identity(12, 12)
 
 
 def test_coeffs_brute_flags_inexact_division(monkeypatch):

@@ -5,26 +5,35 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import partition_series, power, substitute_power, wreath_family
-from tricomm import series, wreath
+from helpers import (
+    WreathElement,
+    decode,
+    embed,
+    invariants_of,
+    partition_series,
+    power,
+    substitute_power,
+    w_inv,
+    w_mul,
+    wreath_element,
+    wreath_elements,
+    wreath_family,
+)
+from tricomm import permgroup, series, wreath
 from tricomm.errors import CapExceeded
 from tricomm.partitions import partition_count
-from tricomm.permgroup import conjugacy_classes
+from tricomm.permgroup import compose, conjugacy_classes
 from tricomm.wreath import (
-    WreathElement,
     class_structure_report,
     cycle_sum_invariants,
     enumerate_class_labels,
     enumerate_wreath,
     k_wreath,
-    w_inv,
-    w_mul,
-    wreath_element,
 )
 
 
 @st.composite
-def wreath_elements(draw, t, m):
+def wreath_element_of(draw, t, m):
     colors = draw(st.tuples(*[st.integers(0, t - 1)] * m))
     perm = tuple(draw(st.permutations(list(range(m)))))
     return WreathElement(colors, perm, t)
@@ -43,9 +52,8 @@ def test_factory_validation():
 
 
 def test_mul_identity_and_inverse():
-    table = enumerate_wreath(3, 2)
     e = wreath_element((0,) * 2, range(2), 3)
-    for x in table.elements:
+    for x in wreath_elements(3, 2):
         assert w_mul(x, e) == x
         assert w_mul(e, x) == x
         assert w_mul(x, w_inv(x)) == e
@@ -70,32 +78,55 @@ def test_mul_rejects_mismatched_groups():
 
 @pytest.mark.parametrize("t,m", [(2, 2), (3, 2), (2, 3)])
 def test_mul_associative_exhaustive(t, m):
-    elems = enumerate_wreath(t, m).elements
+    elems = wreath_elements(t, m)
     for x, y, z in itertools.product(elems, repeat=3):
         assert w_mul(w_mul(x, y), z) == w_mul(x, w_mul(y, z))
 
 
 def test_mul_associative_randomized_w43():
     rng = random.Random(20240817)
-    elems = enumerate_wreath(4, 3).elements
+    elems = wreath_elements(4, 3)
     for _ in range(1000):
         x, y, z = (rng.choice(elems) for _ in range(3))
         assert w_mul(w_mul(x, y), z) == w_mul(x, w_mul(y, z))
 
 
 def test_commutes_predicate_matches_products():
+    # The inline test that `commuting_pairs` runs on the embedded table
+    # against commutation under the reference law.
     for t, m in [(2, 2), (3, 2), (2, 3)]:
-        elems = enumerate_wreath(t, m).elements
+        elems = wreath_elements(t, m)
         for x, y in itertools.product(elems, repeat=2):
-            assert wreath.w_commutes(x, y) == (w_mul(x, y) == w_mul(y, x))
+            commutes = permgroup._count_commuting(embed(x), (embed(y),)) == 1
+            assert commutes == (w_mul(x, y) == w_mul(y, x))
+
+
+def test_enumerate_wreath_lists_the_embedded_elements_in_order():
+    for t, m in wreath_family(400, t_max=5, m_max=4):
+        assert enumerate_wreath(t, m).elements == tuple(map(embed, wreath_elements(t, m)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_embedding_is_a_homomorphism_decoded_back(data):
+    t = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(0, 6))
+    x = data.draw(wreath_element_of(t, m))
+    y = data.draw(wreath_element_of(t, m))
+    assert embed(w_mul(x, y)) == compose(embed(x), embed(y))
+    assert sorted(embed(x)) == list(range(t * m))
+    assert decode(embed(x), t, m) == x
+    assert cycle_sum_invariants(embed(x), t, m) == invariants_of(x)
 
 
 def test_cycle_sum_invariants_examples():
-    assert cycle_sum_invariants(wreath_element((0,) * 2, range(2), 3)) == ((0, 1), (0, 1))
-    x = wreath_element((1, 2, 0), (1, 0, 2), 3)
-    assert cycle_sum_invariants(x) == ((0, 1), (0, 2))
-    assert cycle_sum_invariants(wreath_element((1,), (0,), 4)) == ((1, 1),)
-    assert cycle_sum_invariants(wreath_element((2, 0, 0, 0), (1, 2, 3, 0), 3)) == ((2, 4),)
+    def invariants(colors, perm, t):
+        return cycle_sum_invariants(embed(wreath_element(colors, perm, t)), t, len(perm))
+
+    assert invariants((0,) * 2, range(2), 3) == ((0, 1), (0, 1))
+    assert invariants((1, 2, 0), (1, 0, 2), 3) == ((0, 1), (0, 2))
+    assert invariants((1,), (0,), 4) == ((1, 1),)
+    assert invariants((2, 0, 0, 0), (1, 2, 3, 0), 3) == ((2, 4),)
 
 
 @settings(max_examples=200)
@@ -103,10 +134,10 @@ def test_cycle_sum_invariants_examples():
 def test_invariants_are_conjugation_invariant(data):
     t = data.draw(st.integers(1, 4))
     m = data.draw(st.integers(1, 5))
-    x = data.draw(wreath_elements(t, m))
-    y = data.draw(wreath_elements(t, m))
+    x = data.draw(wreath_element_of(t, m))
+    y = data.draw(wreath_element_of(t, m))
     conj = w_mul(w_mul(y, x), w_inv(y))
-    assert cycle_sum_invariants(conj) == cycle_sum_invariants(x)
+    assert invariants_of(conj) == invariants_of(x)
 
 
 def test_conjugate_by_invariants_agrees_with_orbits_w22():
@@ -118,7 +149,7 @@ def test_conjugate_by_invariants_agrees_with_orbits_w22():
             same_orbit[i] = ci
     for i, x in enumerate(table.elements):
         for j, y in enumerate(table.elements):
-            same_invariants = cycle_sum_invariants(x) == cycle_sum_invariants(y)
+            same_invariants = cycle_sum_invariants(x, 2, 2) == cycle_sum_invariants(y, 2, 2)
             assert same_invariants == (same_orbit[i] == same_orbit[j])
 
 
@@ -133,11 +164,13 @@ def test_enumerate_wreath_sizes_and_caps():
 
 
 def test_trivial_color_group_behaves_like_symmetric_group():
-    table = enumerate_wreath(1, 3)
-    for x, y in itertools.product(table.elements, repeat=2):
+    elems = wreath_elements(1, 3)
+    for x, y in itertools.product(elems, repeat=2):
         product = w_mul(x, y)
         assert product.perm == tuple(x.perm[y.perm[i]] for i in range(3))
         assert product.colors == (0, 0, 0)
+    table = enumerate_wreath(1, 3)
+    assert table.elements == tuple(map(bytes, itertools.permutations(range(3))))
     assert len(conjugacy_classes(table)) == 3
 
 
@@ -152,6 +185,7 @@ def test_wreath_of_single_point_is_cyclic():
         seen.add(acc)
         acc = w_mul(acc, g)
     assert len(seen) == 4  # generated by a single element
+    assert set(map(embed, seen)) == set(table.elements)
 
 
 def test_conjugacy_classes_brute_examples():
@@ -246,7 +280,8 @@ def test_enumerate_class_labels_needs_no_stack_per_residue():
 def test_enumerated_labels_are_the_labels_of_the_elements():
     for t, m in wreath_family(400, t_max=4, m_max=4):
         elements = enumerate_wreath(t, m).elements
-        assert set(enumerate_class_labels(t, m)) == set(map(cycle_sum_invariants, elements))
+        invariants = {cycle_sum_invariants(x, t, m) for x in elements}
+        assert set(enumerate_class_labels(t, m)) == invariants
 
 
 def test_class_labels_are_distinct_and_sized():
@@ -280,8 +315,41 @@ def test_structure_ceiling_refuses_before_any_listing(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a group was listed before the structure ceiling refused")
 
-    monkeypatch.setattr(wreath, "WreathElement", must_not_run)
+    monkeypatch.setattr(wreath, "embed", must_not_run)
     wreath.require_structure_check(2, 6)
     for t, m in [(2, 7), (4000, 1), (9, 8), (1, 9), (2, 2000)]:
         with pytest.raises(CapExceeded, match="wreath structure ceiling=3000000"):
             class_structure_report(t, m)
+
+
+def test_point_limit_refuses_only_the_large_cyclic_groups(monkeypatch):
+    # An image in S_(t*m) is `bytes`, so t*m <= 256.  Within the structure
+    # ceiling only W(t, 1) with 257 <= t <= 1732 pass everything else.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a group was listed before the point limit refused")
+
+    monkeypatch.setattr(wreath, "embed", must_not_run)
+    wreath.require_structure_check(256, 1)
+    for t in (257, 1000, 1732):
+        with pytest.raises(
+            CapExceeded,
+            match=rf"W\({t},1\) acting on t\*m = {t} points exceeds permutation point limit=256",
+        ):
+            class_structure_report(t, 1)
+    with pytest.raises(CapExceeded, match="wreath structure ceiling"):
+        wreath.require_structure_check(1733, 1)
+    # At m >= 2, |W| * k(W) >= 2t^2 * t, so no t above 114 passes.
+    widest = max(
+        t * m
+        for t, m in wreath.wreath_family(wreath.STRUCTURE_CEILING, 120, 30)
+        if m >= 2 and not _refused(t, m)
+    )
+    assert widest == 80
+
+
+def _refused(t, m):
+    try:
+        wreath.require_structure_check(t, m)
+    except CapExceeded:
+        return True
+    return False

@@ -4,8 +4,9 @@ Everything here is exact integer arithmetic.  The single value `sigma`,
 route A's exponent, is found by trial division; there is no factorization
 fast path on purpose.  The weights w(d) = sum(a*sigma(a) for a | d) come
 only as a range (`divisor_weights`, read by `pipeline.check_log` and by
-`bound_check`), sieved: a smallest-prime-factor table and one multiplicative
-pass that builds sigma at prime powers itself and never calls `sigma`.
+`bound_check`), sieved: one table of each d's smallest prime power part
+and one multiplicative pass that builds sigma at prime powers itself and
+never calls `sigma`.
 """
 
 from math import isqrt
@@ -14,8 +15,9 @@ from typing import NamedTuple
 from .errors import CapExceeded
 
 # Largest d_max that `bound_check` scans.  At the cap `bound-check` peaks
-# near 90 MB and takes about 0.9 s (Python 3.11, 2 vCPUs); the lists and
-# the time grow about linearly.
+# at 75 MB and takes about 0.66 s, start-up included (medians of 5 runs;
+# Python 3.11, 2 vCPUs, shared host); the lists and the time grow about
+# linearly.
 BOUND_CHECK_CAP = 10**6
 
 
@@ -39,10 +41,13 @@ def divisor_weights(d_max: int) -> list[int]:
     formal log of route A, and the number of index-d subgroups of Z^3.
 
     The weight is multiplicative (a Dirichlet convolution of 1 with
-    n*sigma(n)), so it is built from prime powers.  A smallest-prime-factor
-    table comes from the primes up to sqrt(d_max); then for each d, with
-    p = spf(d) and q the largest power of p dividing d, a prime power takes
-    w(q) = w(q/p) + q*sigma(q), and any other d takes w(d/q)*w(q).
+    n*sigma(n)), so it is built from prime powers.  One table `part` holds,
+    for each d, the largest power q of d's smallest prime that divides d:
+    each prime up to sqrt(d_max), largest first, writes its powers, smallest
+    first, over their multiples, and sets w(q) = w(q/p) + q*sigma(q) with
+    sigma(q) = p*sigma(q/p) + 1.  Then d with no entry is a prime above
+    sqrt(d_max), w(d) = 1 + d*(d + 1), and any d other than a prime power
+    takes w(d/q)*w(q).
     """
     if d_max < 0:
         raise ValueError(f"divisor_weights requires d_max >= 0, got {d_max}")
@@ -57,21 +62,19 @@ def divisor_weights(d_max: int) -> list[int]:
         if not composite[p]:
             primes.append(p)
             composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
-    # spf[d] == 0 means d is prime; the smallest prime is written last.
-    spf = [0] * (d_max + 1)
+    part = [0] * (d_max + 1)
     for p in reversed(primes):
-        spf[p * p :: p] = [p] * len(range(p * p, d_max + 1, p))
-    p_part = [0] * (d_max + 1)
-    prime_power_sigma = {1: 1}
+        q, s = p, 1
+        while q <= d_max:
+            part[q::q] = [q] * (d_max // q)
+            s = p * s + 1
+            w[q] = w[q // p] + q * s
+            q *= p
     for d in range(2, d_max + 1):
-        p = spf[d] or d
-        m = d // p
-        q = p_part[m] * p if m % p == 0 else p
-        p_part[d] = q
-        if q == d:
-            prime_power_sigma[d] = s = prime_power_sigma[m] + d
-            w[d] = w[m] + d * s
-        else:
+        q = part[d]
+        if not q:
+            w[d] = 1 + d * (d + 1)
+        elif q != d:
             w[d] = w[d // q] * w[q]
     return w
 

@@ -13,7 +13,9 @@ c*m + i, c a color and i a point,
 
 a faithful homomorphism, so a wreath table is a table of `bytes`
 permutations like any other `permgroup` table.  Its first m points carry
-e(i) = x[i] % m and A[e(i)] = x[i] // m.
+e(i) = x[i] % m and A[e(i)] = x[i] // m.  The image is exactly the
+centralizer in S_(t*m) of the rotation (1, ..., 1; id), and
+`enumerate_wreath` lists it as one, with `permgroup.centralizer`.
 
 Conjugacy is decided by cycle sums: each cycle c of the permutation part
 contributes the pair (sum of colors over c mod t, len(c)), and the multiset
@@ -30,23 +32,22 @@ from . import series
 from .errors import CapExceeded
 from .partitions import enumerate_partitions, partition_numbers
 from .permgroup import (
-    PAD,
     POINT_LIMIT,
     GroupTable,
+    centralizer,
     commuting_pairs,
     conjugacy_classes,
     identity_perm,
     perm_cycles,
-    symmetric_generators,
 )
 
 # `enumerate_wreath`, and with it `class_structure_report`, refuses a group
 # whose |W| * k(W) is above this: the structure check's pair count tests
 # each class's first element against every element, |W| * k(W) commutation
 # tests of about 0.2 us each.  Closest to the ceiling, `wreath 2 6 --brute`
-# (46,080 elements, 65 classes, 2,995,200 tests) takes about 0.7 s and
-# 28 MB, start-up included (medians of 3 runs; Python 3.11, 2 vCPUs);
-# W(5,4) (2,850,000 tests) about 0.55 s and 18 MB.
+# (46,080 elements, 65 classes, 2,995,200 tests) takes about 1.3 s and
+# 28 MB, start-up included (medians of 5 runs; Python 3.11, 2 vCPUs, shared
+# host); W(5,4) (2,850,000 tests) about 1.0 s and 18 MB.
 STRUCTURE_CEILING = 3_000_000
 
 
@@ -72,13 +73,6 @@ def cycle_sum_invariants(x: bytes, t: int, m: int) -> tuple[tuple[int, int], ...
     return tuple(sorted(pairs))
 
 
-def _wreath_generators(t: int, m: int) -> tuple[bytes, ...]:
-    gens = [embed((0,) * m, p, t) for p in symmetric_generators(m)]
-    if t >= 2 and m >= 1:
-        gens.append(embed((1,) + (0,) * (m - 1), identity_perm(m), t))
-    return tuple(gens)
-
-
 def _order_exceeds(t: int, m: int, cap: int) -> bool:
     """True iff |W(t, m)| = t^m * m! is above `cap`.  The order is built as
     the product of t*k for k = 1..m, stopping once it passes the cap, so a
@@ -93,23 +87,15 @@ def _order_exceeds(t: int, m: int, cap: int) -> bool:
 
 def enumerate_wreath(t: int, m: int) -> GroupTable:
     """All t^m * m! elements of W(t, m) as a table of their images in
-    S_(t*m), colors-major order.  (A, e) = (A, id) * (0, e), so each
-    element is one `translate` of e's image through A's.
+    S_(t*m), in lexicographic order: the centralizer there of the rotation
+    (1, ..., 1; id), which is m disjoint t-cycles.  That rotation is
+    central, and its centralizer has t^m * m! elements, so the two groups
+    are equal; `permgroup.centralizer` lists it.
 
     `require_structure_check` refuses before any listing."""
     require_structure_check(t, m)
-    ident = identity_perm(m)
-    moves = [embed((0,) * m, e, t) for e in itertools.permutations(range(m))]
-    pad = PAD[t * m:]
-    elements = []
-    for colors in itertools.product(range(t), repeat=m):
-        shift = embed(colors, ident, t) + pad
-        elements.extend(move.translate(shift) for move in moves)
-    return GroupTable(
-        elements=tuple(elements),
-        name=f"W({t},{m})",
-        generators=_wreath_generators(t, m),
-    )
+    table = centralizer(embed((1,) * m, identity_perm(m), t))
+    return GroupTable(table.elements, name=f"W({t},{m})", generators=table.generators)
 
 
 def wreath_family(order_cap: int, t_max: int, m_max: int) -> list[tuple[int, int]]:

@@ -171,8 +171,8 @@ def w_inv(x: WreathElement) -> WreathElement:
 
 
 def wreath_elements(t: int, m: int) -> tuple[WreathElement, ...]:
-    """Every element of W(t, m) in the reference form, colors-major: the
-    order in which `wreath.enumerate_wreath` lists their images."""
+    """Every element of W(t, m) in the reference form, colors-major.
+    `wreath.enumerate_wreath` lists their images in sorted order."""
     perms = tuple(itertools.permutations(range(m)))
     return tuple(
         WreathElement(colors, perm, t)

@@ -336,6 +336,30 @@ def test_wreath_brute_catches_a_repeated_label(capsys, monkeypatch):
     assert "counts_agree=True" in out and "labels_match_orbits=False" in out
 
 
+@pytest.mark.parametrize("t, m", cli.VERIFY_WREATH_FAMILY)
+def test_verify_names_each_wreath_group_with_a_repeated_label(t, m, capsys, monkeypatch):
+    # Negative control for the label check over `verify`'s whole family:
+    # one label of W(t, m) listed twice fails that group alone, and no line
+    # that does not read the labels.
+    labels = wreath.enumerate_class_labels
+
+    def first_repeated(tt, mm):
+        out = labels(tt, mm)
+        return out + out[:1] if (tt, mm) == (t, m) else out
+
+    monkeypatch.setattr(wreath, "enumerate_class_labels", first_repeated)
+    code, out, err = run(capsys, "verify", "-N", "8", "-K", "4")
+    assert (code, err) == (1, "")
+    assert out == (
+        "identity: product == classes on 0..8, == brute on 0..4: ok\n"
+        "log coefficients: ok on 1..8\n"
+        "commuting-pair identity: ok on S_0..S_4 and 17 wreath groups\n"
+        f"wreath conjugacy structure: FAILED on W({t},{m})\n"
+        "naive triple count: ok on 0..4\n"
+        "FAILED\n"
+    )
+
+
 def test_invariants_without_residues_fail_the_structure_checks(capsys, monkeypatch):
     # Negative control for the invariant check: with every residue read as
     # 0, W(2,1)'s two classes share one invariant.  W(1, m) is unaffected.

@@ -126,15 +126,31 @@ def test_verify_identity_corrupted_sigma_names_first_bad_index():
     assert report.first_disagreement == 4
 
 
-@pytest.mark.parametrize("j, prefix_passes", [(2, True), (37, False)])
+@pytest.mark.parametrize(
+    "j, prefix_passes", [(j, j * (numtheory.sigma(j) + 1) < 60) for j in range(1, 61)]
+)
 def test_verify_identity_corrupted_sigma_in_either_branch(j, prefix_passes):
-    order = 40
-    sigma_fn = corrupt_sigma_at(j)
-    assert (j * sigma_fn(j) < order) == prefix_passes
-    report = pipeline.verify_identity(order, 4, sigma_fn=sigma_fn)
+    # Every index of `verify -N 60`.  `prefix_passes`, shown in the test id,
+    # says which branch of route A the corrupted factor takes: prefix
+    # passes while j*sigma(j) < order, binomial rows otherwise.
+    report = pipeline.verify_identity(60, 4, sigma_fn=corrupt_sigma_at(j))
     assert report.first_disagreement == j
     # The log check reads the sieve, not the corrupted table.
     assert pipeline.check_log(report.product).first_mismatch == j
+
+
+@pytest.mark.parametrize("d", range(1, 61))
+def test_check_log_names_a_corrupted_divisor_weight(monkeypatch, d):
+    product = pipeline.coeffs_product(60).coeffs
+    honest = numtheory.divisor_weights
+
+    def one_off_at_d(d_max):
+        weights = honest(d_max)
+        weights[d] += 1
+        return weights
+
+    monkeypatch.setattr(numtheory, "divisor_weights", one_off_at_d)
+    assert pipeline.check_log(product).first_mismatch == d
 
 
 def test_verify_log_small_values():
@@ -256,9 +272,10 @@ def test_routes_b_and_c_never_reach_sigma(monkeypatch):
 
 def test_oracles_never_reach_the_code_they_check(monkeypatch):
     # Route B's series form, the partition Euler product, route A's
-    # factor-by-factor product and the log coefficients must not call the
-    # route, the partition numbers, the series code or the divisor sums
-    # that they cross-check.
+    # factor-by-factor product, the naive triple count and the log
+    # coefficients must not call the route, the partition numbers, the
+    # series code, the centralizer listing or the divisor sums that they
+    # cross-check.
     classes = pipeline.coeffs_classes(30)
     product = pipeline.coeffs_product(30)
     weights = numtheory.divisor_weights(60)
@@ -274,6 +291,11 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
     monkeypatch.setattr(wreath, "k_wreath_series", forbidden)
     monkeypatch.setattr(series, "imul_substituted", forbidden)
     monkeypatch.setattr(series, "neg_binomial_factor", forbidden)
+    # The naive oracle lists S_n itself, never the centralizer listing that
+    # route C and every wreath table come from.
+    monkeypatch.setattr(permgroup, "centralizer", forbidden)
+    monkeypatch.setattr(permgroup, "centralizer_pairs", forbidden)
+    assert triples_naive(5) == 4680
     assert helpers.coeffs_classes_series(30) == classes
     assert helpers.partition_series(60).coeffs == numbers
     assert coeffs_product_by_mul(30) == product

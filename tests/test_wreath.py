@@ -103,7 +103,20 @@ def test_commutes_predicate_matches_products():
 
 def test_enumerate_wreath_lists_the_embedded_elements_in_order():
     for t, m in wreath_family(400, t_max=5, m_max=4):
-        assert enumerate_wreath(t, m).elements == tuple(map(embed, wreath_elements(t, m)))
+        assert enumerate_wreath(t, m).elements == tuple(sorted(map(embed, wreath_elements(t, m))))
+
+
+def test_enumerate_wreath_generators_are_the_group_laws():
+    # Under the reference law Z_t wr S_m is generated by S_m's swap and
+    # m-cycle with zero colors, and by the unit color at point 0.
+    for t, m in wreath_family(400, t_max=5, m_max=4):
+        moves = [(1, 0, *range(2, m)), (*range(1, m), 0)] if m >= 2 else []
+        law = [wreath_element((0,) * m, perm, t) for perm in moves]
+        if t >= 2 and m >= 1:
+            law.append(wreath_element((1,) + (0,) * (m - 1), range(m), t))
+        table = enumerate_wreath(t, m)
+        assert set(table.generators) == set(map(embed, law)), (t, m)
+        assert table.name == f"W({t},{m})"
 
 
 @settings(max_examples=300)

@@ -10,6 +10,7 @@ produce byte-identical files.
 
 import argparse
 import math
+import os
 import sys
 
 from . import numtheory, pipeline
@@ -314,7 +315,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Console entry point: run `main()`, flush both streams and end the
+    process with `os._exit`, skipping interpreter teardown.  tricomm
+    registers no `atexit` hook and closes every `--out` file before `main()`
+    returns, so nothing is lost.  argparse's `SystemExit` (usage errors,
+    `--help`) passes through as usual."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

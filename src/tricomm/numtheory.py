@@ -15,9 +15,10 @@ from typing import NamedTuple
 from .errors import CapExceeded
 
 # Largest d_max that `bound_check` scans.  At the cap `bound-check` peaks
-# at 75 MB and takes about 0.66 s, start-up included (medians of 5 runs;
-# Python 3.11, 2 vCPUs, shared host); the lists and the time grow about
-# linearly.
+# at 75 MB and takes about 0.39 s, start-up included (medians of 11 runs;
+# Python 3.11, 2 vCPUs, shared host), nearly all of it in the sieve: the
+# block scan computes no d**4 in a block that cannot fail.  The lists and
+# the time grow about linearly.
 BOUND_CHECK_CAP = 10**6
 
 
@@ -104,13 +105,25 @@ class BoundReport(NamedTuple):
 
 
 def bound_check(d_max: int) -> BoundReport:
-    """Check the strict bound sum(a*sigma(a) for a | d) < d^4 for d = 1..d_max."""
+    """Check the strict bound sum(a*sigma(a) for a | d) < d^4 for d = 1..d_max.
+
+    The scan runs over dyadic blocks [lo, 2*lo): one `max` over the block is
+    compared with lo^4, and only a block whose maximum reaches lo^4 is
+    scanned d by d.  That skip is exact: every d in a skipped block has
+    w(d) <= max < lo^4 <= d^4.
+    """
     if d_max < 1:
         raise ValueError(f"bound_check requires d_max >= 1, got {d_max}")
     if d_max > BOUND_CHECK_CAP:
         raise CapExceeded(f"bound scan to d = {d_max}", "bound-check cap", BOUND_CHECK_CAP)
     lhs = divisor_weights(d_max)
-    failures = tuple(
-        BoundFailure(d, lhs[d], d**4) for d in range(2, d_max + 1) if lhs[d] >= d**4
-    )
-    return BoundReport(d_max=d_max, equality_at_one=lhs[1] == 1, failures=failures)
+    failures = []
+    lo = 2
+    while lo <= d_max:
+        hi = min(2 * lo, d_max + 1)
+        if max(lhs[lo:hi]) >= lo**4:
+            failures += (
+                BoundFailure(d, lhs[d], d**4) for d in range(lo, hi) if lhs[d] >= d**4
+            )
+        lo = hi
+    return BoundReport(d_max=d_max, equality_at_one=lhs[1] == 1, failures=tuple(failures))

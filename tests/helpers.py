@@ -36,18 +36,31 @@ FAMILY_M_MAX = 8
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, timeout=60):
-    """Run `scripts/<name>` in a fresh interpreter with `src` on the path."""
+def run_python(*args, stdout=subprocess.PIPE, timeout=60):
+    """Run `python *args` in a fresh interpreter with `src` on the path;
+    stdout is captured unless `stdout` names another file."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+def run_script(name, *args, timeout=60):
+    """Run `scripts/<name>` in a fresh interpreter."""
+    return run_python(str(ROOT / "scripts" / name), *args, timeout=timeout)
+
+
+def run_cli(*argv, stdout=subprocess.PIPE, timeout=60):
+    """Run the real entry point, `python -m tricomm.cli *argv`, in a fresh
+    interpreter."""
+    return run_python("-m", "tricomm.cli", *argv, stdout=stdout, timeout=timeout)
 
 
 def wreath_family(order_cap: int, t_max: int = FAMILY_T_MAX, m_max: int = FAMILY_M_MAX):

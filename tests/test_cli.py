@@ -1,13 +1,11 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
+from helpers import run_cli, run_python
 from tricomm import cli, numtheory, pipeline, series, wreath
 from tricomm.cli import main
 
@@ -76,22 +74,18 @@ def test_unwritable_output_path_is_io_error(capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize(
-    "argv", [["expand", "-N", "5"], ["verify", "-N", "8", "-K", "2"], ["bound-check", "-N", "10"]]
+    "argv", [["expand", "-N", "10"], ["verify", "-N", "8", "-K", "2"], ["bound-check", "-N", "10"]]
 )
 def test_failed_stdout_write_is_io_error(argv):
+    # Through the real entry point: its last flush must not report the
+    # failed write a second time, and teardown must not warn about it.
     with open("/dev/full", "w") as full:
-        result = subprocess.run(
-            [sys.executable, "-m", "tricomm.cli", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
-            timeout=30,
-        )
+        result = run_cli(*argv, stdout=full, timeout=30)
     assert result.returncode == 2
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("cannot write stdout: ")
     assert "internal error" not in result.stderr
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 def test_verify_ok(capsys):
@@ -203,13 +197,7 @@ def test_brute_above_cap_refused(capsys, monkeypatch):
 def test_route_c_above_the_degree_ceiling_refused_whatever_the_cap(argv):
     # A refusal is immediate; a run of degree 12 would take far longer than
     # the timeout.
-    result = subprocess.run(
-        [sys.executable, "-m", "tricomm.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
-        timeout=10,
-    )
+    result = run_cli(*argv, timeout=10)
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr == (
         "refused: centralizer triple count in S_12 exceeds centralizer ceiling=11\n"
@@ -419,13 +407,7 @@ def test_wreath_above_series_order_cap_refused(argv, capsys):
 def test_wreath_modulus_above_series_order_cap_refused_at_m_zero(argv):
     # t is a row index, and route B reads row t only up to its order, so t
     # alone is held to the cap.
-    result = subprocess.run(
-        [sys.executable, "-m", "tricomm.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
-        timeout=10,
-    )
+    result = run_cli(*argv, timeout=10)
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr.startswith("refused: ") and result.stderr.count("\n") == 1
     assert f"class count with t = {argv[1]} exceeds series-order cap=4000" in result.stderr
@@ -520,30 +502,16 @@ def test_domain_errors_are_reported(argv, capsys):
 
 def test_cli_import_loads_no_fractions():
     # The library is integer-only; Fractions live in the test oracles.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", "import tricomm.cli, sys; print('fractions' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
+    result = run_python("-c", "import tricomm.cli, sys; print('fractions' in sys.modules)")
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     # Every command pays for what `import tricomm.cli` loads: the records are
     # namedtuples, and json is imported only by `--format json`.
-    src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys; before = set(sys.modules); import tricomm.cli; "
         "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
+    result = run_python("-c", code)
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

@@ -1,3 +1,4 @@
+import functools
 import time
 from fractions import Fraction
 from math import gcd
@@ -141,6 +142,33 @@ def test_bound_check_never_divides(monkeypatch):
     assert report.all_strict_from_two
 
 
+BLOCK_SWEEP_MAX = 10**5
+# Bound before any test patches `divisor_weights`.
+HONEST_SIEVE = numtheory.divisor_weights
+# Both sides of every dyadic block edge 2^k up to 10^5.
+BLOCK_EDGES = sorted(
+    {d for k in range(1, 17) for d in (2**k - 1, 2**k, 2**k + 1) if 2 <= d <= BLOCK_SWEEP_MAX}
+)
+
+
+@functools.cache
+def honest_weights():
+    return tuple(HONEST_SIEVE(BLOCK_SWEEP_MAX))
+
+
+def weights_equal_to_d4_at(ds):
+    """A `divisor_weights` stand-in: the honest sieve with w(d) = d**4, the
+    smallest violation, at each d in `ds`."""
+
+    def weights(d_max):
+        lhs = list(honest_weights()[: d_max + 1])
+        for d in ds:
+            lhs[d] = d**4
+        return lhs
+
+    return weights
+
+
 def test_bound_check_keeps_only_failures(monkeypatch):
     sieve = numtheory.divisor_weights
 
@@ -155,6 +183,39 @@ def test_bound_check_keeps_only_failures(monkeypatch):
     assert report.failures == ((7, 7**4, 7**4), (9, 9**4 + 1, 9**4))
     assert report.equality_at_one
     assert not report.all_strict_from_two
+
+    # Violations in different dyadic blocks, at block edges and in the last,
+    # partial block, are all listed in ascending order.
+    corrupted = [2, 3, 100, 1023, 1024, 1025, 65_535, 65_536, 99_999]
+    monkeypatch.setattr(numtheory, "divisor_weights", weights_equal_to_d4_at(corrupted))
+    report = numtheory.bound_check(99_999)
+    assert report.failures == tuple((d, d**4, d**4) for d in corrupted)
+    assert report.equality_at_one
+
+
+@pytest.mark.parametrize("d", BLOCK_EDGES)
+def test_bound_check_reports_a_violation_at_every_block_edge(monkeypatch, d):
+    monkeypatch.setattr(numtheory, "divisor_weights", weights_equal_to_d4_at([d]))
+    assert numtheory.bound_check(BLOCK_SWEEP_MAX).failures == ((d, d**4, d**4),)
+
+
+@pytest.mark.parametrize("d_max", [3, 1000, 70_001, 99_999])
+def test_bound_check_reports_a_violation_at_the_end_of_a_partial_block(monkeypatch, d_max):
+    # No d_max here is a power of two, so the last block stops short.
+    monkeypatch.setattr(numtheory, "divisor_weights", weights_equal_to_d4_at([d_max]))
+    assert numtheory.bound_check(d_max).failures == ((d_max, d_max**4, d_max**4),)
+
+
+@pytest.mark.parametrize("d_max", [2, 99_999, BLOCK_SWEEP_MAX])
+def test_bound_check_never_reports_one_below_the_bound(monkeypatch, d_max):
+    # w(d) = d^4 - 1 everywhere: from the block [2, 4) on, every block's
+    # maximum reaches lo^4, so its d are compared one by one, and none fails.
+    monkeypatch.setattr(
+        numtheory, "divisor_weights", lambda n: [0, 1] + [d**4 - 1 for d in range(2, n + 1)]
+    )
+    report = numtheory.bound_check(d_max)
+    assert report.equality_at_one
+    assert report.failures == ()
 
 
 def test_bound_check_cap_refuses_before_the_sieve(monkeypatch):

@@ -256,6 +256,61 @@ def test_verify_identity_corrupted_route_c_names_first_bad_index(monkeypatch):
     assert report.first_disagreement == 6
 
 
+# Every entry m of every row t of route B that `verify -N 60` reads.
+ROUTE_B_ENTRIES = [(t, m) for t in range(1, 61) for m in range(1, 60 // t + 1)]
+
+
+@pytest.mark.parametrize("t, m", ROUTE_B_ENTRIES)
+def test_verify_identity_names_a_corrupted_route_b_row_entry(monkeypatch, t, m):
+    # Entry m of row t is k(W(t, m)); +1 there first changes coefficient t*m,
+    # the first index with m parts of length t.  Route B multiplies w, of
+    # length order + 1, by row t with step t; it builds every row with step
+    # 1, into a shorter list except row 1, built from the row [1].  Only
+    # route B's multiplies go through the wrapper: route A shares the kernel.
+    honest = series.imul_substituted
+
+    def corrupted(out, row, step):
+        if step == t and len(out) == 61 and len(row) > m:
+            row = list(row)
+            row[m] += 1
+        honest(out, row, step)
+
+    honest_classes = pipeline.coeffs_classes
+
+    def corrupted_classes(order):
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "imul_substituted", corrupted)
+            return honest_classes(order)
+
+    monkeypatch.setattr(pipeline, "coeffs_classes", corrupted_classes)
+    report = pipeline.verify_identity(60, 4)
+    assert report.product == pipeline.coeffs_product(60).coeffs
+    assert report.first_disagreement == t * m
+
+
+# Every cycle type of degree 2..7 but the identity's, whose term route C
+# adds without `centralizer_pairs`.
+ROUTE_C_TYPES = [
+    ct for n in range(2, 8) for ct in partitions.enumerate_partitions(n) if max(ct.parts) > 1
+]
+
+
+@pytest.mark.parametrize("ct", ROUTE_C_TYPES, ids=[str(ct.parts) for ct in ROUTE_C_TYPES])
+def test_verify_identity_names_a_corrupted_route_c_cycle_type(monkeypatch, ct):
+    # +|Cent(g)| pairs for the class of g adds class size * |Cent(g)| = n!
+    # triples, so the division stays exact and T(n)/n! rises by 1 at n = |ct|.
+    target = permutation_of_type(ct)
+    honest = permgroup.centralizer_pairs
+
+    def corrupted(g, table):
+        return honest(g, table) + (len(table) if g == target else 0)
+
+    monkeypatch.setattr(permgroup, "centralizer_pairs", corrupted)
+    report = pipeline.verify_identity(60, 7)
+    assert report.brute[ct.size] == A061256_PREFIX[ct.size] + 1
+    assert report.first_disagreement == ct.size
+
+
 def test_routes_b_and_c_never_reach_sigma(monkeypatch):
     expected = pipeline.coeffs_product(60).coeffs
     assert expected[:9] == A061256_PREFIX

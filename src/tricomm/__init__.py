@@ -32,7 +32,6 @@ from .pipeline import (
     coeffs_brute,
     coeffs_classes,
     coeffs_product,
-    growth_report,
     verify_identity,
     verify_log,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_symmetric",
     "enumerate_wreath",
-    "growth_report",
     "k_wreath",
     "partition_count",
     "sigma",

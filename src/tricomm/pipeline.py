@@ -4,7 +4,8 @@ Route A (product):  expand prod((1 - u^j)^(-sigma(j)) for j >= 1).
 Route B (classes):  coefficient n = sum over cycle types of n of the product
                     of wreath class counts, one factor per cycle length.
 Route C (brute):    count pairwise-commuting ordered triples in S_n directly
-                    and divide by n! (division must be exact).
+                    and divide by n! (a count that n! does not divide is
+                    a disagreement).
 
 A disagreement is a reported outcome, never an exception: the verifier's
 job is to report, including on deliberately corrupted inputs.
@@ -79,22 +80,21 @@ def coeffs_classes(order: int) -> series.IntSeries:
     return series.IntSeries(tuple(w))
 
 
-def coeffs_brute(n_max: int) -> list[int]:
-    """Route C: triple counts divided (exactly) by n!, for n = 0..n_max."""
+def coeffs_brute(n_max: int) -> list[int | None]:
+    """Route C: triple counts divided by n!, for n = 0..n_max.
+
+    A count that n! does not divide has no integer quotient; its entry is
+    None, which equals no coefficient, so the cross-check reports it as a
+    disagreement at n.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     # Checked up front, so a refusal costs no degree's work.
     require_cent_degree(n_max)
     out = []
     for n in range(n_max + 1):
-        triples = triples_centralizer(n)
-        quotient, remainder = divmod(triples, math.factorial(n))
-        if remainder:
-            raise ArithmeticError(
-                f"triple count {triples} for degree {n} is not divisible by {n}! "
-                "-- internal inconsistency"
-            )
-        out.append(quotient)
+        quotient, remainder = divmod(triples_centralizer(n), math.factorial(n))
+        out.append(None if remainder else quotient)
     return out
 
 
@@ -105,7 +105,7 @@ class CoefficientReport(NamedTuple):
     brute_max: int
     product: tuple[int, ...]
     classes: tuple[int, ...]
-    brute: tuple[int, ...]
+    brute: tuple[int | None, ...]
     agreements: tuple[bool, ...]
 
     @property
@@ -187,21 +187,3 @@ def check_log(a: tuple[int, ...]) -> LogReport:
         if n * a[n] != sum(map(mul, b[1 : n + 1], a[n - 1 :: -1])):
             return LogReport(order=order, ok=False, first_mismatch=n)
     return LogReport(order=order, ok=True, first_mismatch=None)
-
-
-class GrowthPoint(NamedTuple):
-    n: int
-    coefficient: int
-    root: float  # coefficient ** (1/n), presentation only
-
-
-def growth_report(order: int) -> list[GrowthPoint]:
-    """n-th roots of the route-A coefficients, for eyeballing the growth
-    trend.  No pass/fail semantics and no exactness contract on `root`."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    coeffs = coeffs_product(order)
-    return [
-        GrowthPoint(n, coeffs[n], math.exp(math.log(coeffs[n]) / n))
-        for n in range(1, order + 1)
-    ]

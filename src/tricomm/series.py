@@ -13,8 +13,8 @@ from collections import namedtuple
 from .errors import CapExceeded
 
 # Largest series order that routes A and B (`expand`, `classes`, `verify`,
-# `log-check`, `growth`) and the wreath class counts accept; refused before
-# any work, like BOUND_CHECK_CAP.  The slowest of these at the cap,
+# `log-check`) and the wreath class counts accept; refused before any work,
+# like BOUND_CHECK_CAP.  The slowest of these at the cap,
 # `verify -N 4000 -K 8`, takes about 18 s and peaks at 16 MB (medians of 3
 # runs; Python 3.11, 2 vCPUs, shared host); time grows about as order^2.3,
 # so the cap keeps it well inside the 60 s budget.

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from tricomm import numtheory, partitions, series, wreath
+from tricomm import numtheory, partitions, permgroup, series, wreath
 from tricomm.permgroup import inverse_perm, perm_cycles
 
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
@@ -61,6 +61,18 @@ def run_cli(*argv, stdout=subprocess.PIPE, timeout=60):
     """Run the real entry point, `python -m tricomm.cli *argv`, in a fresh
     interpreter."""
     return run_python("-m", "tricomm.cli", *argv, stdout=stdout, timeout=timeout)
+
+
+def add_centralizer_pairs(monkeypatch, ct, extra):
+    """Corrupt route C: the class of cycle type `ct` gets `extra(table)` more
+    commuting pairs, where `table` is the Cent(g) that route C lists."""
+    target = permgroup.permutation_of_type(ct)
+    honest = permgroup.centralizer_pairs
+
+    def corrupted(g, table):
+        return honest(g, table) + (extra(table) if g == target else 0)
+
+    monkeypatch.setattr(permgroup, "centralizer_pairs", corrupted)
 
 
 def wreath_family(order_cap: int, t_max: int = FAMILY_T_MAX, m_max: int = FAMILY_M_MAX):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -5,9 +6,10 @@ import time
 
 import pytest
 
-from helpers import run_cli, run_python
+from helpers import ROOT, add_centralizer_pairs, run_cli, run_python
 from tricomm import cli, numtheory, pipeline, series, wreath
 from tricomm.cli import main
+from tricomm.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -146,6 +148,38 @@ def test_verify_corrupted_wreath_row_names_index(capsys, monkeypatch):
     assert "FIRST DISAGREEMENT at index 5" in out
 
 
+@pytest.mark.parametrize(
+    "parts, naive_line",
+    [
+        ((3, 2, 1), "naive triple count: ok on 0..5\n"),
+        ((2, 1), "naive triple count: FAILED at n = 3\n"),
+    ],
+)
+def test_verify_names_an_inexact_route_c_quotient(parts, naive_line, capsys, monkeypatch):
+    # One more pair for the class of g adds class size triples, which n!
+    # does not divide.
+    add_centralizer_pairs(monkeypatch, Partition(parts), lambda table: 1)
+    code, out, err = run(capsys, "verify", "-N", "8", "-K", "8")
+    assert (code, err) == (1, "")
+    assert out == (
+        f"identity: FIRST DISAGREEMENT at index {sum(parts)}\n"
+        "log coefficients: ok on 1..8\n"
+        "commuting-pair identity: ok on S_0..S_4 and 17 wreath groups\n"
+        "wreath conjugacy structure: ok on 17 wreath groups\n"
+        f"{naive_line}"
+        "FAILED\n"
+    )
+
+
+def test_brute_names_an_inexact_route_c_quotient(tmp_path, capsys, monkeypatch):
+    add_centralizer_pairs(monkeypatch, Partition((3, 2, 1)), lambda table: 1)
+    out_path = tmp_path / "brute.txt"
+    code, out, err = run(capsys, "brute", "-N", "7", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "brute: triple count for degree 6 is not divisible by 6!\n"
+    assert not out_path.exists()
+
+
 def must_not_run(*args, **kwargs):
     raise AssertionError("work done before the refusal")
 
@@ -261,7 +295,6 @@ def test_expand_and_classes_bfiles_are_pinned(order, capsys):
         ["classes"],
         ["verify", "-K", "2"],
         ["log-check"],
-        ["growth"],
     ],
 )
 def test_series_order_above_cap_refused(argv, capsys):
@@ -478,14 +511,6 @@ def test_bound_check_above_cap_refused(capsys):
     assert "bound-check cap=1000000" in err
 
 
-def test_growth_output_shape(capsys):
-    code, out, _ = run(capsys, "growth", "-N", "4")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "1 1 1.000000"
-    assert lines[3].startswith("4 21 2.14")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -504,6 +529,57 @@ def test_cli_import_loads_no_fractions():
     # The library is integer-only; Fractions live in the test oracles.
     result = run_python("-c", "import tricomm.cli, sys; print('fractions' in sys.modules)")
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+MATH_INTEGER_FUNCTIONS = ("factorial", "isqrt")
+
+
+def float_uses(tree):
+    """Each node of `tree` that brings floating point in: a float or complex
+    constant, a true division, the name `float`, or a `math` attribute or
+    import other than the integer functions `factorial` and `isqrt`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield node
+        elif isinstance(node, ast.Div):
+            yield node
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr not in MATH_INTEGER_FUNCTIONS
+        ):
+            yield node
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(alias.name not in MATH_INTEGER_FUNCTIONS for alias in node.names):
+                yield node
+
+
+def test_library_source_has_no_floating_point():
+    found = [
+        f"{path.name}:{getattr(node, 'lineno', '?')}: {ast.dump(node)[:60]}"
+        for path in sorted((ROOT / "src" / "tricomm").glob("*.py"))
+        for node in float_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_float_guard_catches_each_kind():
+    kinds = [
+        "x = 0.5",
+        "x = 2j",
+        "x = a / b",
+        "x /= 2",
+        "float(3)",
+        "math.log(3)",
+        "from math import exp",
+    ]
+    for source in kinds:
+        assert list(float_uses(ast.parse(source))), source
+    integer_only = "from math import factorial\nmath.factorial(5) // math.isqrt(9)"
+    assert not list(float_uses(ast.parse(integer_only)))
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():

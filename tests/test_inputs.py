@@ -1,6 +1,6 @@
 """No input ends in a traceback: every numeric argument of every subcommand
-and of both scripts at -1, 0, 1, 10^30 and a non-integer, and each removed
-cap flag at -1 and at 10^30, exits with the code README documents.
+and of the census script at -1, 0, 1, 10^30 and a non-integer, and each
+removed cap flag at -1 and at 10^30, exits with the code README documents.
 
 Each row holds one argument at "{}" and the others at cheap values, so every
 run either refuses or finishes well under a second.  CLI rows run in-process
@@ -32,7 +32,8 @@ CLI_ROWS = [
     (["verify", "-N", "5", "-K", "2", "--corrupt-sigma", "{}"], (2, 2, 1, 2, 2)),
     (["log-check", "-N", "{}"], (2, 2, 0, 3, 2)),
     (["bound-check", "-N", "{}"], (2, 2, 0, 3, 2)),
-    (["growth", "-N", "{}"], (2, 2, 0, 3, 2)),
+    # There is no `growth` subcommand: an invalid choice at any value.
+    (["growth", "-N", "{}"], (2, 2, 2, 2, 2)),
 ]
 
 # No subcommand takes a cap flag: each is a usage error at any value.
@@ -44,8 +45,6 @@ CAP_ROWS = [
 ]
 
 SCRIPT_ROWS = [
-    ("growth_trend.py", ["-N", "{}"], (2, 2, 0, 3, 2)),
-    ("growth_trend.py", ["-N", "20", "--every", "{}"], (2, 2, 0, 0, 2)),
     ("wreath_census.py", ["--cap", "{}", "--t-max", "2", "--m-max", "2"], (2, 2, 0, 0, 2)),
     ("wreath_census.py", ["--t-max", "{}", "--m-max", "2"], (2, 2, 0, 3, 2)),
     ("wreath_census.py", ["--t-max", "2", "--m-max", "{}"], (2, 0, 0, 0, 2)),

@@ -89,11 +89,9 @@ def test_coeffs_brute_refuses_before_any_degree(monkeypatch):
 
 
 def test_coeffs_brute_flags_inexact_division(monkeypatch):
-    from tricomm import pipeline as pl
-
-    monkeypatch.setattr(pl, "triples_centralizer", lambda n: 7)
-    with pytest.raises(ArithmeticError, match="not divisible"):
-        pl.coeffs_brute(2)
+    # 7 triples: 0! and 1! divide them, 2! does not.
+    monkeypatch.setattr(pipeline, "triples_centralizer", lambda n: 7)
+    assert pipeline.coeffs_brute(2) == [7, 7, None]
 
 
 def test_all_coefficients_positive():
@@ -208,9 +206,8 @@ def test_coeffs_classes_order_1000_has_no_recursion_limit():
         lambda order: pipeline.coeffs_classes(order),
         lambda order: pipeline.verify_identity(order, 2),
         lambda order: pipeline.verify_log(order),
-        lambda order: pipeline.growth_report(order),
     ],
-    ids=["product", "classes", "verify_identity", "verify_log", "growth_report"],
+    ids=["product", "classes", "verify_identity", "verify_log"],
 )
 def test_series_order_cap_refuses_before_any_work(monkeypatch, run):
     def must_not_run(*args, **kwargs):
@@ -220,18 +217,6 @@ def test_series_order_cap_refuses_before_any_work(monkeypatch, run):
         monkeypatch.setattr(pipeline, name, must_not_run)
     with pytest.raises(CapExceeded, match="series-order cap"):
         run(series.SERIES_ORDER_CAP + 1)
-
-
-def test_growth_report_examples():
-    points = pipeline.growth_report(4)
-    assert points[0].n == 1 and points[0].root == 1.0
-    assert points[3].coefficient == 21
-    assert points[3].root == pytest.approx(21 ** 0.25)
-
-
-def test_growth_report_has_no_passfail_semantics():
-    points = pipeline.growth_report(12)
-    assert [p.n for p in points] == list(range(1, 13))
 
 
 def test_naive_oracle_cross_check():
@@ -299,15 +284,20 @@ ROUTE_C_TYPES = [
 def test_verify_identity_names_a_corrupted_route_c_cycle_type(monkeypatch, ct):
     # +|Cent(g)| pairs for the class of g adds class size * |Cent(g)| = n!
     # triples, so the division stays exact and T(n)/n! rises by 1 at n = |ct|.
-    target = permutation_of_type(ct)
-    honest = permgroup.centralizer_pairs
-
-    def corrupted(g, table):
-        return honest(g, table) + (len(table) if g == target else 0)
-
-    monkeypatch.setattr(permgroup, "centralizer_pairs", corrupted)
+    helpers.add_centralizer_pairs(monkeypatch, ct, len)
     report = pipeline.verify_identity(60, 7)
     assert report.brute[ct.size] == A061256_PREFIX[ct.size] + 1
+    assert report.first_disagreement == ct.size
+
+
+@pytest.mark.parametrize("ct", ROUTE_C_TYPES, ids=[str(ct.parts) for ct in ROUTE_C_TYPES])
+def test_verify_identity_names_an_inexact_route_c_cycle_type(monkeypatch, ct):
+    # +1 pair adds class size = n!/|Cent(g)| triples, which n! does not
+    # divide for g != id: route C has no integer quotient at n = |ct|.
+    helpers.add_centralizer_pairs(monkeypatch, ct, lambda table: 1)
+    report = pipeline.verify_identity(60, 7)
+    assert report.brute[ct.size] is None
+    assert report.brute[: ct.size] == A061256_PREFIX[: ct.size]
     assert report.first_disagreement == ct.size
 
 

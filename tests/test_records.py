@@ -14,7 +14,6 @@ RECORDS = {
     "BoundReport": lambda: numtheory.bound_check(10),
     "CoefficientReport": lambda: pipeline.verify_identity(3, 2),
     "LogReport": lambda: pipeline.verify_log(3),
-    "GrowthPoint": lambda: pipeline.growth_report(2)[0],
     "StructureReport": lambda: wreath.class_structure_report(2, 2),
 }
 

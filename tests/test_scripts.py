@@ -105,31 +105,3 @@ def test_wreath_census_exits_1_on_an_inconsistency(monkeypatch, capsys):
         runpy.run_path(str(ROOT / "scripts" / "wreath_census.py"), run_name="__main__")
     assert exc.value.code == 1
     assert "INCONSISTENCIES FOUND" in capsys.readouterr().out
-
-
-def test_growth_trend_runs():
-    result = run_script("growth_trend.py", "-N", "10")
-    assert result.returncode == 0, result.stderr
-    assert "root at n=" in result.stdout
-
-
-def test_growth_trend_prints_no_half_way_root_for_one_point():
-    result = run_script("growth_trend.py", "-N", "1")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "    n      root  digits\n    1    1.0000       1\n"
-
-
-@pytest.mark.parametrize(
-    "args, code",
-    [
-        (["--order", "0"], 2),
-        (["--order", "-3"], 2),
-        (["--order", "5000"], 3),
-        (["--every", "0"], 2),
-    ],
-)
-def test_growth_trend_rejects_bad_input_without_a_traceback(args, code):
-    result = run_script("growth_trend.py", *args)
-    assert result.returncode == code
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""

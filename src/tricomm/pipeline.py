@@ -33,15 +33,17 @@ def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sig
 
     Factors with j > order are 1 modulo u^(order+1), so the product over
     j = 1..order is already exact.  One list is multiplied in place by each
-    factor (1 - u^j)^(-s), s = sigma_fn(j).  While j*s < order that is s
-    prefix-sum passes along every residue class mod j (additions only);
-    otherwise it is one whole-row update per binomial term C(s+k-1, k)
-    u^(j*k).  `sigma_fn` is injectable so a corrupted table can drive
+    factor (1 - u^j)^(-s), s = sigma_fn(j), for j from `order` down to 1.
+    While j*s < order that is s prefix-sum passes along every residue class
+    mod j (additions only); otherwise it is one `series.imul_substituted`
+    by the binomial row C(s+k-1, k) u^(j*k).  Largest factor first, the
+    list is zero at 1..j when factor j comes, and the kernel skips that
+    run.  `sigma_fn` is injectable so a corrupted table can drive
     negative-control tests.
     """
     _require_series_order(order)
     out = [1] + [0] * order
-    for j in range(1, order + 1):
+    for j in range(order, 0, -1):
         s = sigma_fn(j)
         if s < 1:
             raise ValueError(f"power s must be >= 1, got {s} at j = {j}")
@@ -59,24 +61,25 @@ def coeffs_classes(order: int) -> series.IntSeries:
     """Route B (canonical form): per-coefficient sum over cycle types.
 
     Coefficient n is sum over partitions of n of prod(k_wreath(t, m_t)).
-    The sum is built bottom-up, one part size t at a time: after part t,
-    w[n] sums over partitions of n with parts <= t, and adding m parts of
-    size t multiplies by k_wreath(t, m).  So w is multiplied in place by
-    row t = sum(k_wreath(t, m) * u^(m*t)), one whole-row update per m.
-    Its coefficients k_wreath(t, m) are those of P^t, P = row 1 (the
-    partition numbers), so each row is a fresh copy of P, truncated at
-    order // t, multiplied in place by the previous row: one
-    `imul_substituted` per row, the kernel that also multiplies w.
+    Adding m parts of size t multiplies by k_wreath(t, m), so the sum is w
+    multiplied in place by row t = sum(k_wreath(t, m) * u^(m*t)) for every
+    t, largest t first: w is zero at 1..t when row t comes, and the kernel
+    skips that run.  The coefficients k_wreath(t, m) are those of P^t,
+    P = row 1 (the partition numbers), so the rows are built first and
+    kept: row t is a fresh copy of P, truncated at order // t, multiplied
+    in place by row t - 1.  Each row and each product with w is one
+    `imul_substituted`.
     """
     _require_series_order(order)
     row_1 = list(k_wreath_series(1, order).coeffs)
-    row = [1]
-    w = [1] + [0] * order
+    rows = [[1]]
     for t in range(1, order + 1):
-        next_row = row_1[: order // t + 1]
-        series.imul_substituted(next_row, row, 1)
-        row = next_row
-        series.imul_substituted(w, row, t)
+        row = row_1[: order // t + 1]
+        series.imul_substituted(row, rows[-1], 1)
+        rows.append(row)
+    w = [1] + [0] * order
+    for t in range(order, 0, -1):
+        series.imul_substituted(w, rows[t], t)
     return series.IntSeries(tuple(w))
 
 

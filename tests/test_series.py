@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from tricomm import series
@@ -147,6 +147,35 @@ def test_mul_commutative_on_sparse_operands(data, order):
     assert helpers.mul(f, g, order) == helpers.mul(g, f, order)
 
 
+def substituted(row, step: int, order: int) -> IntSeries:
+    """sum(row[k] * u^(k*step)) truncated at `order`."""
+    factor = [0] * (order + 1)
+    for k, c in enumerate(row):
+        if k * step <= order:
+            factor[k * step] = c
+    return IntSeries(tuple(factor))
+
+
+def imul_checked(out: list[int], row: list[int], step: int) -> bool:
+    """Run `imul_substituted` on a copy of `out`, check it against
+    `naive_convolution`, and say whether it took the big-integer product."""
+    order = len(out) - 1
+    expected = naive_convolution(IntSeries(tuple(out)), substituted(row, step, order), order)
+    packed = []
+    honest = series._imul_packed
+
+    def spy(*args):
+        packed.append(args)
+        honest(*args)
+
+    product = list(out)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_imul_packed", spy)
+        series.imul_substituted(product, row, step)
+    assert tuple(product) == expected
+    return bool(packed)
+
+
 @pytest.mark.parametrize("step", [1, 2, 5, "order", "1-long"])
 @given(data=st.data(), order=st.integers(0, 30))
 def test_imul_substituted_matches_naive(step, data, order):
@@ -157,13 +186,97 @@ def test_imul_substituted_matches_naive(step, data, order):
     row = [1] + data.draw(
         st.lists(st.integers(-9, 9), min_size=min_terms, max_size=order // step + 2 + min_terms)
     )
-    factor = [0] * (order + 1)
-    for k, c in enumerate(row):
-        if k * step <= order:
-            factor[k * step] = c
-    expected = naive_convolution(IntSeries(tuple(out)), IntSeries(tuple(factor)), order)
-    series.imul_substituted(out, row, step)
-    assert tuple(out) == expected
+    imul_checked(out, row, step)
+
+
+BIG = 2**200
+
+
+@settings(max_examples=200)
+@given(
+    data=st.data(),
+    order=st.integers(0, 24),
+    step=st.integers(1, 3),
+    head=st.sampled_from([0, 1, -3, BIG]),
+    signs=st.sampled_from(["non-negative", "mixed"]),
+)
+def test_imul_substituted_skips_a_zero_run_of_every_length(data, order, step, head, signs):
+    # out[1..gap-1] is zero for every gap in 1..order+1; gap = order + 1 is
+    # an all-zero tail, and head 0 with it an all-zero list.
+    low = 0 if signs == "non-negative" and head >= 0 else -BIG
+    values = st.integers(low, BIG)
+    tail = data.draw(st.lists(values, min_size=order, max_size=order))
+    row = [1] + data.draw(st.lists(values, max_size=order // step + 1))
+    for gap in range(1, order + 2):
+        out = [head] + [0] * (gap - 1) + tail[gap - 1 :]
+        imul_checked(out, row, step)
+
+
+@settings(max_examples=200)
+@given(
+    data=st.data(),
+    order=st.integers(0, 80),
+    step=st.integers(1, 3),
+    zeros=st.integers(0, 6),
+)
+def test_imul_substituted_non_negative_big_coefficients(data, order, step, zeros):
+    # Sizes 1..81 with rows of every length reach both sides of the packed
+    # product's crossover at steps 1..3 (8, 32 and 72 entries); coefficients
+    # run up to 2^200.
+    size = order + 1
+    values = st.integers(0, BIG) | st.integers(0, 9) | st.just(BIG - 1)
+    out = data.draw(st.lists(values, min_size=size, max_size=size))
+    out[1 : 1 + zeros] = [0] * len(out[1 : 1 + zeros])
+    row = [1] + data.draw(st.lists(values, max_size=order // step + 2))
+    imul_checked(out, row, step)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), order=st.integers(0, 40), step=st.integers(1, 3))
+def test_imul_substituted_mixed_signs_take_the_row_updates(data, order, step):
+    size = order + 1
+    values = st.integers(0, BIG)
+    out = data.draw(st.lists(values, min_size=size, max_size=size))
+    row = [1] + data.draw(st.lists(values, max_size=order // step + 2))
+    # One negative coefficient, in `out` or in a row term below the order.
+    reach = min(len(row), order // step + 1)
+    k = data.draw(st.integers(0, size + reach - 2))
+    if k < size:
+        out[k] = -1 - out[k]
+    else:
+        row[k - size + 1] = -1 - row[k - size + 1]
+    assert not imul_checked(out, row, step)
+
+
+@pytest.mark.parametrize("size, step", [(8, 1), (9, 1), (40, 1), (32, 2), (41, 2), (72, 3), (80, 3)])
+def test_imul_substituted_all_coefficients_at_the_maximum(size, step):
+    # 2^200 - 1 fills its 25 bytes, so only the slot's len(out) bits keep
+    # a sum of such products from carrying into the next slot.
+    top = BIG - 1
+    assert imul_checked([top] * size, [1] + [top] * size, step)
+
+
+def test_imul_substituted_strategy_choice(monkeypatch):
+    p = helpers.partition_series(40).coeffs
+    short = series.ROW_UPDATES_BELOW - 1
+    # Dense non-negative products pack from ROW_UPDATES_BELOW entries on.
+    assert imul_checked(list(p[: short + 1]), list(p), 1)
+    assert not imul_checked(list(p[:short]), list(p), 1)
+    # A row in u^2 packs once each residue class holds 2 * 8 entries.
+    assert imul_checked(list(p[:32]), list(p), 2)
+    assert not imul_checked(list(p[:31]), list(p), 2)
+    # A negative entry anywhere the product reads keeps the row updates.
+    assert not imul_checked([1, -1] + list(p[2:]), list(p), 1)
+    assert not imul_checked(list(p), [1, 2, -1] + list(p[3:]), 1)
+    # A negative row entry past the order is never read.
+    assert imul_checked(list(p[:21]), list(p[:21]) + [-1], 1)
+    # A few terms into a long list, or a long zero run, keep the row updates.
+    assert not imul_checked(list(p), [1, 1, 1], 1)
+    assert not imul_checked([1] + [0] * 30 + list(p[31:]), list(p), 1)
+    # Past PACKED_SPAN, step * len(out), the row updates run.
+    monkeypatch.setattr(series, "PACKED_SPAN", 2 * 40)
+    assert imul_checked(list(p[:40]), list(p), 2)
+    assert not imul_checked(list(p), list(p), 2)
 
 
 def test_imul_substituted_rejects_bad_rows():

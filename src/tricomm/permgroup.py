@@ -30,10 +30,10 @@ POINT_LIMIT = len(PAD)
 # One limit per brute-force layer, each refused before any work.
 # `enumerate_symmetric` lists S_n up to this degree: S_8 has 40,320 elements.
 SYMMETRIC_CEILING = 8
-# Route C refuses a degree above this.  `brute -N 10` takes about 0.5 s and
-# 26 MB, and `brute -N 11` about 3.5 s and 145 MB, start-up included
-# (medians of 3 runs; Python 3.11, 2 vCPUs).  Degree 12 is out of reach:
-# Cent of type (2,1^10) alone has 7,257,600 elements.
+# Route C refuses a degree above this.  `brute -N 10` takes about 0.45 s
+# and 26 MB, and `brute -N 11` about 4.1 s and 146 MB, start-up included
+# (medians of 5 runs; Python 3.11, 2 vCPUs, shared host).  Degree 12 is out
+# of reach: Cent of type (2,1^10) alone has 7,257,600 elements.
 CENT_CEILING = 11
 # The naive oracle refuses a degree above this, the top of `verify`'s naive
 # range.  Degree 6 takes about 0.13 s (Python 3.11, 2 vCPUs), which would be
@@ -246,13 +246,24 @@ def commuting_pairs(table: GroupTable, classes: tuple[tuple[int, ...], ...]) -> 
     counted by direct commutation tests.
 
     `classes` are the table's conjugacy classes, as `conjugacy_classes`
-    returns them.  |Cent(g)| is constant along a class, so the count is
-    (class size) * (directly counted centralizer of its first element),
-    summed over classes; it never consults the class-count identity being
-    verified.
+    returns them, or any subset of them.  |Cent(g)| is constant along a
+    class, so the count is (class size) * (directly counted centralizer of
+    its first element), summed over classes; it never consults the
+    class-count identity being verified.  One `_commuting_counter` serves
+    every class.
     """
     elems = table.elements
-    return sum(len(cls) * _count_commuting(elems[cls[0]], elems) for cls in classes)
+    count = _commuting_counter(elems)
+    return sum(len(cls) * count(elems[cls[0]]) for cls in classes)
+
+
+# Route C lists Cent(r) only when it is at least this many times smaller than
+# Cent(g): a scan of Cent(g) costs about n bytes of C work per element, a
+# listing of Cent(r) Python work per element plus a fixed cost per call.
+# `coeffs_brute(11)` in-process (3 runs; Python 3.11, 2 vCPUs, shared host)
+# took 3.5-4.0 s at 64, 3.5-4.4 s at 32, 3.6-4.5 s at 128 and 4.0-4.7 s at
+# 256; listing no Cent(r) at all took 4.9-5.6 s.
+LISTING_RATIO = 64
 
 
 def centralizer_pairs(g: Perm, table: GroupTable) -> int:
@@ -261,29 +272,64 @@ def centralizer_pairs(g: Perm, table: GroupTable) -> int:
 
     The pairs (r, h) for a fixed r number |Cent(g) & Cent(r)|, constant along
     r's class in Cent(g).  For each class representative r, that
-    intersection is counted by listing the smaller of Cent(g) and Cent(r)
-    (both listed directly by `centralizer`) and testing each element against
-    the other of g and r with `_count_commuting`.  `centralizer_order` only
-    picks the side to list.
+    intersection is counted on one side: Cent(r), listed by `centralizer`
+    and tested against g, when it is at least `LISTING_RATIO` times smaller
+    than Cent(g); otherwise Cent(g) is tested against r, all such classes
+    in one `commuting_pairs` call.  Since |Cent(r)| >= |Cent(g)| / |class|,
+    a class smaller than `LISTING_RATIO` is scanned without reading r's
+    cycle type; `centralizer_order` only picks the side.
     """
     elems = table.elements
-    total = 0
+    listed = 0
+    scanned = []
     for cls in conjugacy_classes(table):
-        r = elems[cls[0]]
-        if centralizer_order(cycle_type(r)) < len(elems):
-            count = _count_commuting(g, centralizer(r).elements)
-        else:
-            count = _count_commuting(r, elems)
-        total += len(cls) * count
-    return total
+        if len(cls) >= LISTING_RATIO:
+            r = elems[cls[0]]
+            if centralizer_order(cycle_type(r)) * LISTING_RATIO <= len(elems):
+                listed += len(cls) * _commuting_counter(centralizer(r).elements)(g)
+                continue
+        scanned.append(cls)
+    return listed + commuting_pairs(table, tuple(scanned))
 
 
-def _count_commuting(x: Perm, elements: tuple[Perm, ...]) -> int:
-    """How many of `elements` commute with x, each by a direct test written
-    inline: x*h == h*x compares h through x with x through h."""
-    pad = PAD[len(x):]
-    x_table = x + pad
-    return sum(1 for h in elements if h.translate(x_table) == x.translate(h + pad))
+# `_commuting_counter` joins the elements this many at a time: one join of
+# the whole table allocates a buffer record per element (+40 MB at
+# `brute -N 11`).
+JOIN_CHUNK = 4096
+
+
+def _commuting_counter(elements: tuple[Perm, ...]):
+    """A function counting how many of `elements` commute with a given x,
+    each by a direct test on every point, run for all elements at once.
+
+    The elements are stored column by column: column i holds every
+    element's image of point i, as `bytes` and as a little-endian `int`
+    with one byte per element.  For each point i, h*x(i) = h[x[i]] is
+    column x[i] and x*h(i) = x[h[i]] is column i translated through x; the
+    XOR of the two is zero in exactly the bytes of the elements that agree
+    at i.  OR-ing over all points leaves a zero byte for exactly the
+    elements that commute with x.
+    """
+    size = len(elements)
+    degree = len(elements[0])
+    parts = [[] for _ in range(degree)]
+    for start in range(0, size, JOIN_CHUNK):
+        flat = b"".join(elements[start:start + JOIN_CHUNK])
+        for i, part in enumerate(parts):
+            part.append(flat[i::degree])
+    columns = [b"".join(part) for part in parts]
+    del parts
+    values = [int.from_bytes(column, "little") for column in columns]
+    pad = PAD[degree:]
+
+    def count(x: Perm) -> int:
+        x_table = x + pad
+        diff = 0
+        for column, image in zip(columns, x):
+            diff |= values[image] ^ int.from_bytes(column.translate(x_table), "little")
+        return diff.to_bytes(size, "little").count(0)
+
+    return count
 
 
 def require_cent_degree(n: int) -> None:

@@ -44,10 +44,11 @@ from .permgroup import (
 # `enumerate_wreath`, and with it `class_structure_report`, refuses a group
 # whose |W| * k(W) is above this: the structure check's pair count tests
 # each class's first element against every element, |W| * k(W) commutation
-# tests of about 0.2 us each.  Closest to the ceiling, `wreath 2 6 --brute`
-# (46,080 elements, 65 classes, 2,995,200 tests) takes about 1.3 s and
-# 28 MB, start-up included (medians of 5 runs; Python 3.11, 2 vCPUs, shared
-# host); W(5,4) (2,850,000 tests) about 1.0 s and 18 MB.
+# tests run in bulk by `commuting_pairs`, about 0.03 us each on 12 points
+# and 0.05 us on 20.  Closest to the ceiling, `wreath 2 6 --brute` (46,080
+# elements, 65 classes, 2,995,200 tests) takes about 0.53 s and 28 MB,
+# start-up included (medians of 5 runs; Python 3.11, 2 vCPUs, shared
+# host); W(5,4) (2,850,000 tests) about 0.31 s and 18 MB.
 STRUCTURE_CEILING = 3_000_000
 
 

@@ -1,5 +1,7 @@
 import itertools
+import random
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -259,7 +261,7 @@ def test_centralizer_pairs_equals_double_loop():
 
 
 def test_centralizer_pairs_equals_commuting_pairs_on_every_cycle_type():
-    for n in range(8):
+    for n in range(9):
         for ct in enumerate_partitions(n):
             g = permutation_of_type(ct)
             table = centralizer(g)
@@ -267,24 +269,122 @@ def test_centralizer_pairs_equals_commuting_pairs_on_every_cycle_type():
 
 
 def test_centralizer_pairs_uses_both_sides(monkeypatch):
-    # In S_4 with g = id, r = id sweeps Cent(g) itself; every other class
-    # representative, a transposition among them, lists its own smaller
-    # centralizer.
+    # Cent(g) = S_2 x S_6 for g of type (2,1^6), 1440 elements: five classes
+    # of Cent(g) are large enough, and their Cent(r) small enough, to be
+    # listed; the rest are scanned on Cent(g) in one `commuting_pairs` call.
+    g = permutation_of_type(Partition((2, 1, 1, 1, 1, 1, 1)))
+    table = centralizer(g)
+    classes = conjugacy_classes(table)
+    ratio = permgroup.LISTING_RATIO
+    listed, typed, scanned = [], [], []
+
+    def recorder(name, log, arg):
+        honest = getattr(permgroup, name)
+
+        def recording(*args):
+            log.append(args[arg])
+            return honest(*args)
+
+        monkeypatch.setattr(permgroup, name, recording)
+
+    recorder("centralizer", listed, 0)
+    recorder("cycle_type", typed, 0)
+    recorder("commuting_pairs", scanned, 1)
+    assert centralizer_pairs(g, table) == len(table) * len(classes) == 31680
+    assert len(listed) == 5 and len(scanned) == 1
+    assert len(listed) + len(scanned[0]) == len(classes)
+    # A class smaller than the ratio is scanned without reading its type.
+    assert len(typed) == sum(len(cls) >= ratio for cls in classes)
+    monkeypatch.undo()
+    for r in listed:
+        assert centralizer_order(cycle_type(r)) * ratio <= len(table)
+    for cls in scanned[0]:
+        r = table.elements[cls[0]]
+        assert len(cls) < ratio or centralizer_order(cycle_type(r)) * ratio > len(table)
+
+
+def test_centralizer_pairs_tests_a_listed_centralizer_against_g(monkeypatch):
+    # In Cent(g) = S_2 x S_7, g a transposition, some listed Cent(r) are
+    # not inside Cent(g), so each must be tested against g, not r.
+    g = permutation_of_type(Partition((2,) + (1,) * 7))
+    table = centralizer(g)
     listed = []
     honest = permgroup.centralizer
 
     def recording(x):
-        listed.append(x)
-        return honest(x)
+        listed.append(honest(x))
+        return listed[-1]
 
     monkeypatch.setattr(permgroup, "centralizer", recording)
-    g = identity_perm(4)
-    assert centralizer_pairs(g, permgroup.centralizer(g)) == 120
-    assert listed[0] == g
-    assert listed.count(g) == 1
-    assert Partition((2, 1, 1)) in {cycle_type(r) for r in listed[1:]}
-    # Cent(g) once, then one listing per class except that of r = id.
-    assert len(listed) == partition_count(4)
+    assert centralizer_pairs(g, table) == commuting_pairs_of(table) == len(table) * 2 * 15
+    assert any(compose(g, h) != compose(h, g) for cent in listed for h in cent.elements)
+
+
+def check_counter(elements, xs=None):
+    """`_commuting_counter(elements)` against the filter for each x in `xs`
+    (default: every element) and its sum against the double loop."""
+    count = permgroup._commuting_counter(tuple(elements))
+    table = SimpleNamespace(elements=tuple(elements), mul=compose)
+    for x in elements if xs is None else xs:
+        assert count(x) == len(centralizer_by_filter(x, table))
+    if xs is None:
+        assert sum(map(count, elements)) == commuting_pairs_double_loop(table)
+
+
+def test_commuting_counter_on_random_subsets():
+    rng = random.Random(27)
+    tables = [enumerate_symmetric(n) for n in range(8)]
+    tables += [enumerate_wreath(t, m) for t, m in [(2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (3, 3)]]
+    for table in tables:
+        for _ in range(3):
+            k = rng.randint(1, min(len(table), 60))
+            check_counter(rng.sample(table.elements, k))
+
+
+def test_commuting_counter_on_degrees_zero_and_one():
+    for n in (0, 1):
+        check_counter(enumerate_symmetric(n).elements)
+        check_counter(enumerate_symmetric(n).elements * 300)
+
+
+def test_commuting_counter_on_tables_above_256_and_4096_elements():
+    rng = random.Random(11)
+    s6 = enumerate_symmetric(6).elements
+    check_counter(s6, rng.sample(s6, 40))
+    # 5040 elements: two join chunks, the second partial.
+    s7 = enumerate_symmetric(7).elements
+    assert len(s7) > permgroup.JOIN_CHUNK
+    check_counter(s7, rng.sample(s7, 8) + [identity_perm(7)])
+    w = enumerate_wreath(2, 5).elements
+    check_counter(w, rng.sample(w, 20))
+
+
+def test_commuting_counter_reads_the_first_and_last_rows():
+    # x commutes with every element but one, placed first or last, and
+    # with none but one: each byte of the difference is read, none padded.
+    x = bytes((1, 0, 2, 3))
+    commuting = bytes((1, 0, 3, 2))
+    other = bytes((0, 2, 1, 3))
+    for size in (1, 2, 300, permgroup.JOIN_CHUNK + 1):
+        rows = [commuting] * (size - 1)
+        count = permgroup._commuting_counter(tuple(rows + [other]))
+        assert count(x) == size - 1
+        count = permgroup._commuting_counter(tuple([other] + rows))
+        assert count(x) == size - 1
+        count = permgroup._commuting_counter(tuple([other] * (size - 1) + [commuting]))
+        assert count(x) == 1
+        check_counter(rows[:50] + [other], [x, other])
+
+
+def test_commuting_counter_on_256_points():
+    # W(256, 1) acts on 256 points, so `translate` gets x with no pad.
+    cyclic = enumerate_wreath(256, 1).elements
+    assert len(cyclic[0]) == permgroup.POINT_LIMIT
+    count = permgroup._commuting_counter(cyclic)
+    assert {count(x) for x in cyclic[::17]} == {256}
+    swap = bytes((1, 0, *range(2, 256)))
+    rng = random.Random(3)
+    check_counter(rng.sample(cyclic, 40) + [swap], cyclic[:5] + (swap,))
 
 
 def test_triples_naive_examples():

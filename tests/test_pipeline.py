@@ -337,9 +337,12 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
     monkeypatch.setattr(series, "imul_substituted", forbidden)
     monkeypatch.setattr(series, "neg_binomial_factor", forbidden)
     # The naive oracle lists S_n itself, never the centralizer listing that
-    # route C and every wreath table come from.
+    # route C and every wreath table come from, and tests each pair itself,
+    # never through the commutation kernel of route C and the pair counts.
     monkeypatch.setattr(permgroup, "centralizer", forbidden)
     monkeypatch.setattr(permgroup, "centralizer_pairs", forbidden)
+    monkeypatch.setattr(permgroup, "commuting_pairs", forbidden)
+    monkeypatch.setattr(permgroup, "_commuting_counter", forbidden)
     assert triples_naive(5) == 4680
     assert helpers.coeffs_classes_series(30) == classes
     assert helpers.partition_series(60).coeffs == numbers

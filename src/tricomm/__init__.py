@@ -35,7 +35,6 @@ from .pipeline import (
     verify_identity,
     verify_log,
 )
-from .series import IntSeries
 from .wreath import (
     cycle_sum_invariants,
     enumerate_class_labels,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "GroupTable",
-    "IntSeries",
     "Partition",
     "bound_check",
     "centralizer_order",

@@ -82,12 +82,12 @@ def _sigma_fn(args):
 
 
 def _cmd_expand(args) -> int:
-    coeffs = pipeline.coeffs_product(args.order, sigma_fn=_sigma_fn(args)).coeffs
+    coeffs = pipeline.coeffs_product(args.order, sigma_fn=_sigma_fn(args))
     return _emit(_render(coeffs, "product", args.order, args), args.out)
 
 
 def _cmd_classes(args) -> int:
-    coeffs = pipeline.coeffs_classes(args.order).coeffs
+    coeffs = pipeline.coeffs_classes(args.order)
     return _emit(_render(coeffs, "classes", args.order, args), args.out)
 
 
@@ -151,7 +151,7 @@ def _cmd_verify(args) -> int:
         table = enumerate_symmetric(n)
         cc = conjugacy_classes(table)
         if commuting_pairs(table, cc) != len(table) * len(cc):
-            pair_identity_bad.append(table.name)
+            pair_identity_bad.append(f"S_{n}")
     conjugacy_bad = []
     for t, m in VERIFY_WREATH_FAMILY:
         rep = class_structure_report(t, m)

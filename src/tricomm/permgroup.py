@@ -91,12 +91,11 @@ class GroupTable:
     is built.
     """
 
-    def __init__(self, elements: tuple, name: str = "", generators: tuple = ()):
+    def __init__(self, elements: tuple, generators: tuple = ()):
         self.elements = tuple(elements)
         if len(self.elements) > 1 and not generators:
-            raise ValueError(f"{name or 'table'} of order > 1 has no generators")
+            raise ValueError("table of order > 1 has no generators")
         self.mul = compose
-        self.name = name
         self.generators = tuple(generators)
         self._index: dict | None = None
 
@@ -134,36 +133,8 @@ def enumerate_symmetric(n: int) -> GroupTable:
         )
     return GroupTable(
         elements=tuple(map(bytes, itertools.permutations(range(n)))),
-        name=f"S_{n}",
         generators=symmetric_generators(n),
     )
-
-
-def _cycles_by_length(g: Perm) -> dict[int, list[list[int]]]:
-    """g's cycles as `perm_cycles` lists them, grouped by length."""
-    blocks: dict[int, list[list[int]]] = {}
-    for cycle in perm_cycles(g):
-        blocks.setdefault(len(cycle), []).append(cycle)
-    return blocks
-
-
-def centralizer_generators(g: Perm) -> tuple[Perm, ...]:
-    """Generators of Cent(g) in S_n, one Z_t wr S_m per block of m cycles
-    c_0..c_(m-1) of length t: g on c_0 alone (when t > 1), and for each
-    generator s of S_m the map c_k[i] -> c_s(k)[i].  `perm_cycles` lists
-    every cycle in g's order, so these commute with g.
-    """
-    gens = []
-    for length, cycles in _cycles_by_length(g).items():
-        if length > 1:
-            gens.append(bytes(g[i] if i in cycles[0] else i for i in range(len(g))))
-        for s in symmetric_generators(len(cycles)):
-            images = bytearray(range(len(g)))
-            for k, cycle in enumerate(cycles):
-                for point, image in zip(cycle, cycles[s[k]]):
-                    images[point] = image
-            gens.append(bytes(images))
-    return tuple(gens)
 
 
 def centralizer(g: Perm) -> GroupTable:
@@ -174,19 +145,33 @@ def centralizer(g: Perm) -> GroupTable:
     another, rotating each.  With the cycles written point after point, an
     element's images in that order are one concatenation of rotated cycles
     per block, and one `translate` through them of the points' positions
-    puts them in one-line form.  `generators` are
-    `centralizer_generators(g)`.
+    puts them in one-line form.  The generators are, per block of cycles
+    c_0..c_(m-1) of length t: g on c_0 alone (when t > 1), and for each
+    generator s of S_m the map c_k[i] -> c_s(k)[i].  `perm_cycles` lists
+    every cycle in g's order, so these commute with g.
     """
-    blocks = _cycles_by_length(g)
+    blocks: dict[int, list[list[int]]] = {}
+    for cycle in perm_cycles(g):
+        blocks.setdefault(len(cycle), []).append(cycle)
+    points = []
     block_images = []
-    for same_length in blocks.values():
-        rotations = [[bytes(c[k:] + c[:k]) for k in range(len(c))] for c in same_length]
+    generators = []
+    for length, cycles in blocks.items():
+        points += [p for c in cycles for p in c]
+        rotations = [[bytes(c[k:] + c[:k]) for k in range(length)] for c in cycles]
         block_images.append([
             b"".join(choice)
             for targets in itertools.permutations(rotations)
             for choice in itertools.product(*targets)
         ])
-    points = [p for same_length in blocks.values() for c in same_length for p in c]
+        if length > 1:
+            generators.append(bytes(g[i] if i in cycles[0] else i for i in range(len(g))))
+        for s in symmetric_generators(len(cycles)):
+            images = bytearray(range(len(g)))
+            for k, cycle in enumerate(cycles):
+                for point, image in zip(cycle, cycles[s[k]]):
+                    images[point] = image
+            generators.append(bytes(images))
     position = bytearray(len(g))
     for k, p in enumerate(points):
         position[p] = k
@@ -196,11 +181,7 @@ def centralizer(g: Perm) -> GroupTable:
         position.translate(b"".join(images) + pad)
         for images in itertools.product(*block_images)
     )
-    return GroupTable(
-        elements=tuple(elements),
-        name=f"Cent({tuple(g)})",
-        generators=centralizer_generators(g),
-    )
+    return GroupTable(elements=tuple(elements), generators=tuple(generators))
 
 
 def conjugacy_classes(table: GroupTable) -> tuple[tuple[int, ...], ...]:
@@ -307,8 +288,11 @@ def _commuting_counter(elements: tuple[Perm, ...]):
     with one byte per element.  For each point i, h*x(i) = h[x[i]] is
     column x[i] and x*h(i) = x[h[i]] is column i translated through x; the
     XOR of the two is zero in exactly the bytes of the elements that agree
-    at i.  OR-ing over all points leaves a zero byte for exactly the
-    elements that commute with x.
+    at i.  OR-ing over every point but the last leaves a zero byte for
+    exactly the elements that commute with x: h*x and x*h are permutations,
+    so if they agree on n - 1 points, the last point's image is the one
+    value left and they agree there too.  At degrees 0 and 1 no point is
+    compared, and every element counts as commuting.
     """
     size = len(elements)
     degree = len(elements[0])
@@ -325,7 +309,7 @@ def _commuting_counter(elements: tuple[Perm, ...]):
     def count(x: Perm) -> int:
         x_table = x + pad
         diff = 0
-        for column, image in zip(columns, x):
+        for column, image in zip(columns, x[:-1]):
             diff |= values[image] ^ int.from_bytes(column.translate(x_table), "little")
         return diff.to_bytes(size, "little").count(0)
 

@@ -28,7 +28,7 @@ def _require_series_order(order: int) -> None:
     series.require_order_within_cap(order, f"series order {order}")
 
 
-def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sigma) -> series.IntSeries:
+def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sigma) -> tuple[int, ...]:
     """Route A: the sigma Euler product, truncated at `order`.
 
     Factors with j > order are 1 modulo u^(order+1), so the product over
@@ -52,12 +52,12 @@ def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sig
                 for r in range(j):
                     out[r::j] = accumulate(out[r::j])
         else:
-            row = series.neg_binomial_factor(s, order // j).coeffs
+            row = series.neg_binomial_factor(s, order // j)
             series.imul_substituted(out, row, j)
-    return series.IntSeries(tuple(out))
+    return tuple(out)
 
 
-def coeffs_classes(order: int) -> series.IntSeries:
+def coeffs_classes(order: int) -> tuple[int, ...]:
     """Route B (canonical form): per-coefficient sum over cycle types.
 
     Coefficient n is sum over partitions of n of prod(k_wreath(t, m_t)).
@@ -66,21 +66,21 @@ def coeffs_classes(order: int) -> series.IntSeries:
     t, largest t first: w is zero at 1..t when row t comes, and the kernel
     skips that run.  The coefficients k_wreath(t, m) are those of P^t,
     P = row 1 (the partition numbers), so the rows are built first and
-    kept: row t is a fresh copy of P, truncated at order // t, multiplied
-    in place by row t - 1.  Each row and each product with w is one
-    `imul_substituted`.
+    kept: row t >= 2 is a fresh copy of P, truncated at order // t,
+    multiplied in place by row t - 1.  Each such row and each product with
+    w is one `imul_substituted`.
     """
     _require_series_order(order)
-    row_1 = list(k_wreath_series(1, order).coeffs)
-    rows = [[1]]
-    for t in range(1, order + 1):
+    row_1 = list(k_wreath_series(1, order))
+    rows = [[1], row_1]
+    for t in range(2, order + 1):
         row = row_1[: order // t + 1]
         series.imul_substituted(row, rows[-1], 1)
         rows.append(row)
     w = [1] + [0] * order
     for t in range(order, 0, -1):
         series.imul_substituted(w, rows[t], t)
-    return series.IntSeries(tuple(w))
+    return tuple(w)
 
 
 def coeffs_brute(n_max: int) -> list[int | None]:
@@ -148,8 +148,8 @@ def verify_identity(
     return CoefficientReport(
         order=order,
         brute_max=brute_max,
-        product=a.coeffs,
-        classes=b.coeffs,
+        product=a,
+        classes=b,
         brute=tuple(c),
         agreements=agreements,
     )
@@ -165,7 +165,7 @@ def verify_log(order: int) -> LogReport:
     """Check route A at `order` against the divisor formula for its formal log."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return check_log(coeffs_product(order).coeffs)
+    return check_log(coeffs_product(order))
 
 
 def check_log(a: tuple[int, ...]) -> LogReport:

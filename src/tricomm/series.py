@@ -1,15 +1,14 @@
 """Truncated dense formal power series with integer coefficients.
 
-Index k of `coeffs` holds the u^k coefficient; a series of order N carries
-exactly N+1 coefficients.  All arithmetic is exact Python integers;
-truncation order is an explicit argument everywhere and operations never
-silently extend a series.  The module holds what routes A and B run: one
-product kernel, the in-place product of a list with a row in u^step
-(`imul_substituted`, by row updates that skip the list's zero run or by one
-big-integer product), the factor (1 - u)^(-s) and the series-order cap.
+A series is a plain list or tuple of ints: index k holds the u^k
+coefficient, and a series of order N carries exactly N+1 coefficients.  All
+arithmetic is exact Python integers; truncation order is an explicit
+argument everywhere and operations never silently extend a series.  The
+module holds what routes A and B run: one product kernel, the in-place
+product of a list with a row in u^step (`imul_substituted`, by row updates
+that skip the list's zero run or by one big-integer product), the factor
+(1 - u)^(-s) and the series-order cap.
 """
-
-from collections import namedtuple
 
 from .errors import CapExceeded
 
@@ -46,26 +45,6 @@ def require_order_within_cap(order: int, subject: str) -> None:
         raise CapExceeded(subject, "series-order cap", SERIES_ORDER_CAP)
 
 
-class IntSeries(namedtuple("IntSeries", "coeffs")):
-    __slots__ = ()
-
-    def __new__(cls, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("a series carries at least the constant term")
-        for kind in set(map(type, coeffs)):
-            if not issubclass(kind, int):
-                raise TypeError(f"integer coefficients only, got {kind.__name__}")
-        return super().__new__(cls, coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k]
-
-
 def imul_substituted(out: list[int], row, step: int) -> None:
     """Multiply the list `out` in place by sum(row[k] * u^(k*step)).
 
@@ -76,10 +55,8 @@ def imul_substituted(out: list[int], row, step: int) -> None:
 
     - one big-integer product per residue class of `out` mod step
       (`_imul_packed`), when every coefficient of `out` and of the row is
-      >= 0, each class holds at least ROW_UPDATES_BELOW * step entries,
-      step * len(out) <= PACKED_SPAN, and the row updates would make at
-      least half as many element products as dense products of the classes
-      with the row;
+      >= 0, each class holds at least ROW_UPDATES_BELOW * step entries and
+      step * len(out) <= PACKED_SPAN;
     - row updates that skip the zero run: if out[1..g-1] are all 0, term k
       adds row[k]*out[0] at k*step and updates `out` only from k*step + g
       on.  A product taken largest factor first keeps g large.
@@ -93,19 +70,12 @@ def imul_substituted(out: list[int], row, step: int) -> None:
         gap = 0
         before = out[:]
     else:
-        gap = next(filter(out.__getitem__, range(1, size)), size)
-        # Terms 1..full update out[k*step + gap:], size - gap - k*step entries.
-        full = min(len(row) - 1, (size - 1 - gap) // step)
-        products = full * (size - gap) - step * full * (full + 1) // 2
-        if (
-            size >= ROW_UPDATES_BELOW * step * step
-            and step * size <= PACKED_SPAN
-            and 4 * step * products >= size * size
-        ):
+        if size >= ROW_UPDATES_BELOW * step * step and step * size <= PACKED_SPAN:
             terms = row[: (size - 1) // step + 1]
             if min(out) >= 0 and min(terms) >= 0:
                 _imul_packed(out, terms, step)
                 return
+        gap = next(filter(out.__getitem__, range(1, size)), size)
         before = out[gap:]
         for shift, c in zip(range(step, size, step), row[1:]):
             out[shift] += c * out[0]
@@ -140,7 +110,7 @@ def _pack(coeffs, width: int) -> int:
     return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
-def neg_binomial_factor(s: int, order: int) -> IntSeries:
+def neg_binomial_factor(s: int, order: int) -> list[int]:
     """(1 - u)^(-s) truncated at `order`.
 
     The u^k coefficient is C(s+k-1, k), built incrementally by exact
@@ -153,4 +123,4 @@ def neg_binomial_factor(s: int, order: int) -> IntSeries:
     out = [1]
     for k in range(1, order + 1):
         out.append(out[-1] * (s + k - 1) // k)
-    return IntSeries(tuple(out))
+    return out

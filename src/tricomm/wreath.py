@@ -95,8 +95,7 @@ def enumerate_wreath(t: int, m: int) -> GroupTable:
 
     `require_structure_check` refuses before any listing."""
     require_structure_check(t, m)
-    table = centralizer(embed((1,) * m, identity_perm(m), t))
-    return GroupTable(table.elements, name=f"W({t},{m})", generators=table.generators)
+    return centralizer(embed((1,) * m, identity_perm(m), t))
 
 
 def wreath_family(order_cap: int, t_max: int, m_max: int) -> list[tuple[int, int]]:
@@ -140,7 +139,7 @@ def _check_series_order(t: int, m_max: int) -> None:
     )
 
 
-def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
+def k_wreath_series(t: int, m_max: int) -> tuple[int, ...]:
     """Class counts of W(t, m) for all m <= m_max: the partition series P
     raised to the power t as a running product, as route B builds its rows:
     t - 1 times, a fresh copy of P is multiplied in place by the previous
@@ -157,7 +156,7 @@ def k_wreath_series(t: int, m_max: int) -> series.IntSeries:
         next_row = p[:]
         series.imul_substituted(next_row, row, 1)
         row = next_row
-    return series.IntSeries(tuple(row))
+    return tuple(row)
 
 
 def enumerate_class_labels(t: int, m: int) -> list[tuple[tuple[int, int], ...]]:

@@ -3,8 +3,8 @@
 The oracles here are what the cross-checks compare the library against, so
 they call no route of it and share no series kernel with it: the Cauchy
 product `mul` and the constant series `one` live here, and route A's
-factors are built from `math.comb`.  Only the `IntSeries` container comes
-from the library.  Divisor sums are found by trial division here, where
+factors are built from `math.comb`.  A series is a plain tuple of ints, as
+the library returns it.  Divisor sums are found by trial division here, where
 the library sieves them.  P^t is powered here by repeated squaring (`power`),
 where production builds it as a running product.  Formal log/exp work on
 plain tuples of `Fraction`; the library itself is integer-only.  The
@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from tricomm import numtheory, partitions, permgroup, series, wreath
+from tricomm import numtheory, partitions, permgroup, wreath
 from tricomm.permgroup import inverse_perm, perm_cycles
 
 # The (t, m) grid is capped at t <= 9, m <= 8: every group with m >= 3 and
@@ -226,12 +226,12 @@ def invariants_of(x: WreathElement) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((sum(a[i] for i in c) % t, len(c)) for c in perm_cycles(e)))
 
 
-def one(order: int) -> series.IntSeries:
+def one(order: int) -> tuple[int, ...]:
     """The constant series 1 at the given truncation order."""
-    return series.IntSeries((1,) + (0,) * order)
+    return (1,) + (0,) * order
 
 
-def mul(f: series.IntSeries, g: series.IntSeries, order: int) -> series.IntSeries:
+def mul(f: tuple[int, ...], g: tuple[int, ...], order: int) -> tuple[int, ...]:
     """Reference Cauchy product truncated at `order`; both operands must
     reach it.
 
@@ -240,13 +240,13 @@ def mul(f: series.IntSeries, g: series.IntSeries, order: int) -> series.IntSerie
     operand past `order` are ignored.
     """
     out = [0] * (order + 1)
-    for i, a in enumerate(f.coeffs[: order + 1]):
+    for i, a in enumerate(f[: order + 1]):
         if a:
-            out[i:] = [c + a * b for c, b in zip(out[i:], g.coeffs)]
-    return series.IntSeries(tuple(out))
+            out[i:] = [c + a * b for c, b in zip(out[i:], g)]
+    return tuple(out)
 
 
-def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSeries:
+def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> tuple[int, ...]:
     """Reference route A: each factor (1 - u^j)^(-sigma_fn(j)) built whole,
     its u^(j*k) coefficient C(s+k-1, k) from `math.comb`, and multiplied in
     with `mul`, the sparse factor first; no in-place update."""
@@ -255,16 +255,16 @@ def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> series.IntSer
         s = sigma_fn(j)
         factor = [0] * (order + 1)
         factor[::j] = [math.comb(s + k - 1, k) for k in range(order // j + 1)]
-        result = mul(series.IntSeries(tuple(factor)), result, order)
+        result = mul(tuple(factor), result, order)
     return result
 
 
-def partition_series(order: int) -> series.IntSeries:
+def partition_series(order: int) -> tuple[int, ...]:
     """Reference sum(p(d) * u^d): the Euler product prod((1 - u^s)^(-1))."""
     return coeffs_product_by_mul(order, lambda s: 1)
 
 
-def substitute_power(f: series.IntSeries, t: int, order: int) -> series.IntSeries:
+def substitute_power(f: tuple[int, ...], t: int, order: int) -> tuple[int, ...]:
     """u -> u^t: the u^(k*t) coefficient becomes f[k], the rest zero.
 
     Only f's coefficients up to order // t are read.
@@ -272,11 +272,11 @@ def substitute_power(f: series.IntSeries, t: int, order: int) -> series.IntSerie
     if t < 1:
         raise ValueError(f"substitution step t must be >= 1, got {t}")
     out = [0] * (order + 1)
-    out[::t] = f.coeffs[: order // t + 1]
-    return series.IntSeries(tuple(out))
+    out[::t] = f[: order // t + 1]
+    return tuple(out)
 
 
-def power(f: series.IntSeries, t: int, order: int) -> series.IntSeries:
+def power(f: tuple[int, ...], t: int, order: int) -> tuple[int, ...]:
     """Reference f**t truncated at `order`, by repeated squaring; t = 0 gives
     the constant series 1."""
     if t < 0:
@@ -292,7 +292,7 @@ def power(f: series.IntSeries, t: int, order: int) -> series.IntSeries:
     return result
 
 
-def coeffs_classes_series(order: int) -> series.IntSeries:
+def coeffs_classes_series(order: int) -> tuple[int, ...]:
     """Reference route B, series form: the truncated product of P(u^t)^t
     over t = 1..order.
 

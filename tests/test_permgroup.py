@@ -151,9 +151,29 @@ def test_centralizer_of_identity_is_the_symmetric_table():
         assert cent.generators == table.generators
 
 
+def test_centralizer_generators_commute_with_g_and_generate_it():
+    # Closed under left multiplication by the generators, starting from
+    # the identity: in a finite group that is the generated subgroup.
+    for n in range(8):
+        for g in scattered_conjugates_of_each_type(n):
+            cent = centralizer(g)
+            gens = [tuple(s) for s in cent.generators]
+            for s in gens:
+                assert tuple_compose(s, tuple(g)) == tuple_compose(tuple(g), s), (g, s)
+            closure = {tuple(range(n))}
+            frontier = list(closure)
+            for x in frontier:  # the frontier grows as it is walked
+                for s in gens:
+                    y = tuple_compose(s, x)
+                    if y not in closure:
+                        closure.add(y)
+                        frontier.append(y)
+            assert set(map(bytes, closure)) == set(cent.elements), g
+
+
 def test_group_table_refuses_missing_generators():
     with pytest.raises(ValueError, match="no generators"):
-        GroupTable((b"\x00\x01", b"\x01\x00"), name="S_2")
+        GroupTable((b"\x00\x01", b"\x01\x00"))
     trivial = GroupTable((b"\x00",))
     assert trivial.mul is compose
     assert len(conjugacy_classes(trivial)) == 1

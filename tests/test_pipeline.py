@@ -20,8 +20,8 @@ def corrupt_sigma_at(j):
 
 
 def test_coeffs_product_examples():
-    assert pipeline.coeffs_product(0).coeffs == (1,)
-    assert pipeline.coeffs_product(4).coeffs == (1, 1, 4, 8, 21)
+    assert pipeline.coeffs_product(0) == (1,)
+    assert pipeline.coeffs_product(4) == (1, 1, 4, 8, 21)
     assert pipeline.coeffs_product(10)[1] == 1
 
 
@@ -52,7 +52,7 @@ def test_coeffs_product_anchored_to_brute_force():
 
 
 def test_coeffs_classes_examples():
-    assert pipeline.coeffs_classes(0).coeffs == (1,)
+    assert pipeline.coeffs_classes(0) == (1,)
     assert pipeline.coeffs_classes(2)[2] == 4
     assert pipeline.coeffs_classes(4)[4] == 21
 
@@ -95,7 +95,7 @@ def test_coeffs_brute_flags_inexact_division(monkeypatch):
 
 
 def test_all_coefficients_positive():
-    assert all(c > 0 for c in pipeline.coeffs_product(40).coeffs)
+    assert all(c > 0 for c in pipeline.coeffs_product(40))
 
 
 def test_verify_identity_agrees():
@@ -139,7 +139,7 @@ def test_verify_identity_corrupted_sigma_in_either_branch(j, prefix_passes):
 
 @pytest.mark.parametrize("d", range(1, 61))
 def test_check_log_names_a_corrupted_divisor_weight(monkeypatch, d):
-    product = pipeline.coeffs_product(60).coeffs
+    product = pipeline.coeffs_product(60)
     honest = numtheory.divisor_weights
 
     def one_off_at_d(d_max):
@@ -152,7 +152,7 @@ def test_check_log_names_a_corrupted_divisor_weight(monkeypatch, d):
 
 
 def test_verify_log_small_values():
-    logged = helpers.log(pipeline.coeffs_product(4).coeffs, 4)
+    logged = helpers.log(pipeline.coeffs_product(4), 4)
     assert logged[1] == 1
     assert logged[2] == Fraction(7, 2)
     assert pipeline.verify_log(15).ok
@@ -161,7 +161,7 @@ def test_verify_log_small_values():
 def test_verify_log_detects_corruption_against_true_table():
     # Corrupt only the series side; the divisor formula keeps the honest
     # sigma, so the mismatch surfaces at the corrupted index.
-    logged = helpers.log(pipeline.coeffs_product(8, sigma_fn=corrupt_sigma_at(3)).coeffs, 8)
+    logged = helpers.log(pipeline.coeffs_product(8, sigma_fn=corrupt_sigma_at(3)), 8)
     bad = [
         d for d in range(1, 9) if logged[d] != helpers.log_coefficient(d)
     ]
@@ -173,9 +173,9 @@ def test_verify_log_names_a_perturbed_route_a_coefficient(monkeypatch, index):
     honest = pipeline.coeffs_product
 
     def perturbed(order, **kwargs):
-        coeffs = list(honest(order, **kwargs).coeffs)
+        coeffs = list(honest(order, **kwargs))
         coeffs[index] += 1
-        return series.IntSeries(tuple(coeffs))
+        return tuple(coeffs)
 
     monkeypatch.setattr(pipeline, "coeffs_product", perturbed)
     report = pipeline.verify_log(12)
@@ -186,9 +186,9 @@ def test_verify_log_names_a_perturbed_route_a_coefficient(monkeypatch, index):
 def test_verify_log_first_mismatch_is_first_log_mismatch(monkeypatch):
     # Against the Fraction log: the integer recurrence fails first exactly
     # where the formal log first leaves the divisor formula.
-    bad = series.IntSeries((1, 1, 4, 9, 21, 0, 3))
+    bad = (1, 1, 4, 9, 21, 0, 3)
     monkeypatch.setattr(pipeline, "coeffs_product", lambda order, **kwargs: bad)
-    logged = helpers.log(bad.coeffs, 6)
+    logged = helpers.log(bad, 6)
     first = next(d for d in range(1, 7) if logged[d] != helpers.log_coefficient(d))
     assert pipeline.verify_log(6).first_mismatch == first == 3
 
@@ -249,9 +249,9 @@ ROUTE_B_ENTRIES = [(t, m) for t in range(1, 61) for m in range(1, 60 // t + 1)]
 def test_verify_identity_names_a_corrupted_route_b_row_entry(monkeypatch, t, m):
     # Entry m of row t is k(W(t, m)); +1 there first changes coefficient t*m,
     # the first index with m parts of length t.  Route B multiplies w, of
-    # length order + 1, by row t with step t; it builds every row with step
-    # 1, into a shorter list except row 1, built from the row [1].  Only
-    # route B's multiplies go through the wrapper: route A shares the kernel.
+    # length order + 1, by row t with step t; it builds every row but row 1,
+    # the partition numbers, with step 1 into a shorter list.  Only route
+    # B's multiplies go through the wrapper: route A shares the kernel.
     honest = series.imul_substituted
 
     def corrupted(out, row, step):
@@ -269,7 +269,7 @@ def test_verify_identity_names_a_corrupted_route_b_row_entry(monkeypatch, t, m):
 
     monkeypatch.setattr(pipeline, "coeffs_classes", corrupted_classes)
     report = pipeline.verify_identity(60, 4)
-    assert report.product == pipeline.coeffs_product(60).coeffs
+    assert report.product == pipeline.coeffs_product(60)
     assert report.first_disagreement == t * m
 
 
@@ -302,14 +302,14 @@ def test_verify_identity_names_an_inexact_route_c_cycle_type(monkeypatch, ct):
 
 
 def test_routes_b_and_c_never_reach_sigma(monkeypatch):
-    expected = pipeline.coeffs_product(60).coeffs
+    expected = pipeline.coeffs_product(60)
     assert expected[:9] == A061256_PREFIX
 
     def forbidden(n):
         raise AssertionError(f"sigma({n}) reached")
 
     monkeypatch.setattr(numtheory, "sigma", forbidden)
-    assert pipeline.coeffs_classes(60).coeffs == expected
+    assert pipeline.coeffs_classes(60) == expected
     assert tuple(pipeline.coeffs_brute(7)) == A061256_PREFIX[:8]
     # Nor does the log check: it sieves its weights.
     assert pipeline.check_log(expected).ok
@@ -325,7 +325,7 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
     product = pipeline.coeffs_product(30)
     weights = numtheory.divisor_weights(60)
     numbers = tuple(partitions.partition_numbers(60))
-    assert classes.coeffs[:9] == A061256_PREFIX and numbers[60] == 966467
+    assert classes[:9] == A061256_PREFIX and numbers[60] == 966467
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a cross-check reached the code it checks")
@@ -345,7 +345,7 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
     monkeypatch.setattr(permgroup, "_commuting_counter", forbidden)
     assert triples_naive(5) == 4680
     assert helpers.coeffs_classes_series(30) == classes
-    assert helpers.partition_series(60).coeffs == numbers
+    assert helpers.partition_series(60) == numbers
     assert coeffs_product_by_mul(30) == product
     monkeypatch.setattr(numtheory, "sigma", forbidden)
     monkeypatch.setattr(numtheory, "divisor_weights", forbidden)

@@ -1,16 +1,14 @@
 """The library's records are namedtuples: immutable, hashable, and shown
-with the repr they have always had.  `IntSeries` and `Partition` validation
-is tested beside their modules."""
+with the repr they have always had.  `Partition` validation is tested
+beside its module."""
 
 import pytest
 
 from tricomm import numtheory, pipeline, wreath
 from tricomm.partitions import Partition
-from tricomm.series import IntSeries
 
 RECORDS = {
     "Partition": lambda: Partition((2, 2)),
-    "IntSeries": lambda: IntSeries((1, 2, 3)),
     "BoundReport": lambda: numtheory.bound_check(10),
     "CoefficientReport": lambda: pipeline.verify_identity(3, 2),
     "LogReport": lambda: pipeline.verify_log(3),
@@ -32,7 +30,6 @@ def test_assigning_a_field_raises(name):
 def test_repr_is_unchanged():
     assert repr(Partition((2, 2))) == "Partition(parts=(2, 2))"
     assert repr(Partition(())) == "Partition(parts=())"
-    assert repr(IntSeries([1, 0, 5])) == "IntSeries(coeffs=(1, 0, 5))"
 
 
 def test_equal_partitions_hash_equal_and_dedupe_in_sets():
@@ -41,8 +38,6 @@ def test_equal_partitions_hash_equal_and_dedupe_in_sets():
     assert {a, b, Partition((2, 2))} == {Partition((3, 1)), Partition((2, 2))}
 
 
-def test_intseries_and_partition_keep_their_views():
-    s = IntSeries([1, 2, 3])
-    assert (s.coeffs, s.order, s[2], s[1:]) == ((1, 2, 3), 2, 3, (2, 3))
+def test_partition_keeps_its_views():
     p = Partition([2, 2, 1])
     assert (p.parts, p.size, p.multiplicities()) == ((2, 2, 1), 5, {2: 2, 1: 1})

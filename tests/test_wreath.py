@@ -116,7 +116,6 @@ def test_enumerate_wreath_generators_are_the_group_laws():
             law.append(wreath_element((1,) + (0,) * (m - 1), range(m), t))
         table = enumerate_wreath(t, m)
         assert set(table.generators) == set(map(embed, law)), (t, m)
-        assert table.name == f"W({t},{m})"
 
 
 @settings(max_examples=300)
@@ -251,11 +250,11 @@ def test_k_wreath_series_at_order_zero_takes_no_multiply(monkeypatch):
 
     monkeypatch.setattr(series, "imul_substituted", must_not_run)
     for t in (1, 2, 4000):
-        assert wreath.k_wreath_series(t, 0).coeffs == (1,)
+        assert wreath.k_wreath_series(t, 0) == (1,)
 
 
 def test_k_wreath_series_cap_refuses_before_any_work(monkeypatch):
-    assert wreath.k_wreath_series(4000, 1).coeffs == (1, 4000)
+    assert wreath.k_wreath_series(4000, 1) == (1, 4000)
 
     def must_not_run(n_max):
         raise AssertionError("work done before the series-order cap refusal")

@@ -13,12 +13,7 @@ and checks that all three agree coefficient by coefficient.
 
 from .errors import CapExceeded
 from .numtheory import bound_check, sigma
-from .partitions import (
-    Partition,
-    centralizer_order,
-    enumerate_partitions,
-    partition_count,
-)
+from .partitions import centralizer_order, enumerate_partitions
 from .permgroup import (
     GroupTable,
     commuting_pairs,
@@ -47,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "GroupTable",
-    "Partition",
     "bound_check",
     "centralizer_order",
     "coeffs_brute",
@@ -62,7 +56,6 @@ __all__ = [
     "enumerate_symmetric",
     "enumerate_wreath",
     "k_wreath",
-    "partition_count",
     "sigma",
     "triples_centralizer",
     "triples_naive",

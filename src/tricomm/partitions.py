@@ -1,50 +1,27 @@
 """Integer partitions, cycle types of permutations, centralizer orders.
 
-A partition is stored canonically as a non-increasing tuple of positive
-parts.  The same object doubles as a cycle type: read part t with
-multiplicity m as "m cycles of length t" via `multiplicities()`.
+A partition is a plain non-increasing tuple of positive parts.  The same
+tuple doubles as a cycle type: part t with multiplicity m reads as "m
+cycles of length t", counted by `collections.Counter`.
 """
 
-from collections import namedtuple
+from collections import Counter
 from math import factorial
 
 
-class Partition(namedtuple("Partition", "parts")):
-    __slots__ = ()
-
-    def __new__(cls, parts):
-        parts = tuple(parts)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be non-increasing: {parts}")
-        return super().__new__(cls, parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        """Cycle-type view: {part -> multiplicity}, only nonzero entries."""
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
-
-def enumerate_partitions(n: int) -> list[Partition]:
+def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n, in descending lexicographic order of part lists.
 
     n = 0 yields the single empty partition.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def extend(remaining: int, max_part: int) -> None:
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for p in range(min(remaining, max_part), 0, -1):
             prefix.append(p)
@@ -81,18 +58,13 @@ def partition_numbers(n_max: int) -> list[int]:
     return p
 
 
-def partition_count(n: int) -> int:
-    """p(n), read from `partition_numbers`."""
-    return partition_numbers(n)[n]
-
-
-def centralizer_order(cycle_type: Partition) -> int:
+def centralizer_order(cycle_type: tuple[int, ...]) -> int:
     """Order of the centralizer in S_n of a permutation with this cycle type.
 
     A permutation with m_t cycles of length t has centralizer of order
     prod(t**m_t * m_t!) -- the direct product of the wreath pieces Z_t wr S_m_t.
     """
     order = 1
-    for t, m in cycle_type.multiplicities().items():
+    for t, m in Counter(cycle_type).items():
         order *= t**m * factorial(m)
     return order

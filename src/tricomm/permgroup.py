@@ -7,7 +7,9 @@ composition convention is fixed once here and used everywhere:
     compose(g, h)(i) = g(h(i))        # h first, then g
 
 which is one `bytes.translate` of h through g, padded to the 256-byte table
-that `translate` takes.
+that `translate` takes.  A cycle type is a plain non-increasing tuple of
+cycle lengths, fixed points included: a partition of the degree as
+`tricomm.partitions` stores it.
 
 `GroupTable` packages an explicit list of such permutations with its
 generators, so the class/pair/triple counters below work for any finite
@@ -19,7 +21,7 @@ import itertools
 from math import factorial
 
 from .errors import CapExceeded
-from .partitions import Partition, centralizer_order, enumerate_partitions
+from .partitions import centralizer_order, enumerate_partitions
 
 Perm = bytes
 
@@ -76,9 +78,9 @@ def perm_cycles(g: Perm) -> list[list[int]]:
     return cycles
 
 
-def cycle_type(g: Perm) -> Partition:
+def cycle_type(g: Perm) -> tuple[int, ...]:
     """Cycle type of g as a partition of its degree (fixed points count)."""
-    return Partition(tuple(sorted((len(c) for c in perm_cycles(g)), reverse=True)))
+    return tuple(sorted(map(len, perm_cycles(g)), reverse=True))
 
 
 class GroupTable:
@@ -288,11 +290,14 @@ def _commuting_counter(elements: tuple[Perm, ...]):
     with one byte per element.  For each point i, h*x(i) = h[x[i]] is
     column x[i] and x*h(i) = x[h[i]] is column i translated through x; the
     XOR of the two is zero in exactly the bytes of the elements that agree
-    at i.  OR-ing over every point but the last leaves a zero byte for
-    exactly the elements that commute with x: h*x and x*h are permutations,
-    so if they agree on n - 1 points, the last point's image is the one
-    value left and they agree there too.  At degrees 0 and 1 no point is
-    compared, and every element counts as commuting.
+    at i.  OR-ing over every point but the last two leaves a zero byte for
+    exactly the elements that commute with x.  h*x = x*h*c with
+    c = (x*h)^-1 * (h*x), a commutator and so an even permutation, and
+    h*x and x*h differ exactly on the points that c moves.  An even
+    permutation never moves exactly one or two points, so if h*x and x*h
+    agree on n - 2 points they agree on all n.  At degrees 0, 1 and 2 no
+    point is compared, and every element counts as commuting: S_0, S_1 and
+    S_2 are abelian.
     """
     size = len(elements)
     degree = len(elements[0])
@@ -309,7 +314,7 @@ def _commuting_counter(elements: tuple[Perm, ...]):
     def count(x: Perm) -> int:
         x_table = x + pad
         diff = 0
-        for column, image in zip(columns, x[:-1]):
+        for column, image in zip(columns, x[:-2]):
             diff |= values[image] ^ int.from_bytes(column.translate(x_table), "little")
         return diff.to_bytes(size, "little").count(0)
 
@@ -392,12 +397,12 @@ def triples_centralizer(n: int) -> int:
     return total + pairs  # the identity's class adds the pairs of S_n
 
 
-def permutation_of_type(ct: Partition) -> Perm:
+def permutation_of_type(ct: tuple[int, ...]) -> Perm:
     """Canonical permutation with the given cycle type: consecutive cycles
     on 0..n-1, largest first."""
-    images = bytearray(range(ct.size))
+    images = bytearray(range(sum(ct)))
     start = 0
-    for length in ct.parts:
+    for length in ct:
         for k in range(length):
             images[start + k] = start + (k + 1) % length
         start += length

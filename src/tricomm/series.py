@@ -21,12 +21,11 @@ from .errors import CapExceeded
 # order^2.3, so the cap keeps it well inside the 60 s budget.
 SERIES_ORDER_CAP = 4000
 
-# Lists shorter than this are multiplied by plain row updates: finding the
-# zero run or packing costs more than it saves.  A dense product of two
-# partition-number rows took the same time both ways at 7 entries, and was
-# 7% faster packed at 8.  A row in u^step packs only when each residue
-# class mod step holds at least ROW_UPDATES_BELOW * step entries: every
-# class costs one more packed multiply (Python 3.11, 2 vCPUs).
+# A list is packed only when each of its residue classes mod step holds at
+# least ROW_UPDATES_BELOW * step entries: every class costs one more packed
+# multiply.  A dense product of two partition-number rows took the same
+# time packed and by row updates at 7 entries, and was 7% faster packed at
+# 8 (Python 3.11, 2 vCPUs).
 ROW_UPDATES_BELOW = 8
 
 # The largest step * len(out) at which the residue classes are packed.  The
@@ -50,35 +49,30 @@ def imul_substituted(out: list[int], row, step: int) -> None:
 
     `out` is a truncated series of order len(out) - 1, and row[0] must be 1;
     terms past the order are ignored.  Each term k >= 1 adds row[k] times
-    the original `out`, shifted by k*step, as one whole-row update.  A list
-    of ROW_UPDATES_BELOW or more entries takes one of two faster strategies:
+    the original `out`, shifted by k*step, as one whole-row update that
+    skips the zero run: if out[1..g-1] are all 0, term k adds
+    row[k]*out[0] at k*step and updates `out` only from k*step + g on.  A
+    product taken largest factor first keeps g large.
 
-    - one big-integer product per residue class of `out` mod step
-      (`_imul_packed`), when every coefficient of `out` and of the row is
-      >= 0, each class holds at least ROW_UPDATES_BELOW * step entries and
-      step * len(out) <= PACKED_SPAN;
-    - row updates that skip the zero run: if out[1..g-1] are all 0, term k
-      adds row[k]*out[0] at k*step and updates `out` only from k*step + g
-      on.  A product taken largest factor first keeps g large.
+    When every coefficient of `out` and of the row is >= 0, each residue
+    class of `out` mod step holds at least ROW_UPDATES_BELOW * step entries
+    and step * len(out) <= PACKED_SPAN, the product is instead one
+    big-integer product per residue class (`_imul_packed`).
     """
     if step < 1:
         raise ValueError(f"substitution step must be >= 1, got {step}")
     if row[0] != 1:
         raise ValueError(f"row must have constant term 1, got {row[0]}")
     size = len(out)
-    if size < ROW_UPDATES_BELOW:
-        gap = 0
-        before = out[:]
-    else:
-        if size >= ROW_UPDATES_BELOW * step * step and step * size <= PACKED_SPAN:
-            terms = row[: (size - 1) // step + 1]
-            if min(out) >= 0 and min(terms) >= 0:
-                _imul_packed(out, terms, step)
-                return
-        gap = next(filter(out.__getitem__, range(1, size)), size)
-        before = out[gap:]
-        for shift, c in zip(range(step, size, step), row[1:]):
-            out[shift] += c * out[0]
+    if size >= ROW_UPDATES_BELOW * step * step and step * size <= PACKED_SPAN:
+        terms = row[: (size - 1) // step + 1]
+        if min(out) >= 0 and min(terms) >= 0:
+            _imul_packed(out, terms, step)
+            return
+    gap = next(filter(out.__getitem__, range(1, size)), size)
+    before = out[gap:]
+    for shift, c in zip(range(step, size, step), row[1:]):
+        out[shift] += c * out[0]
     for shift, c in zip(range(gap + step, size, step), row[1:]):
         if c:
             out[shift:] = [a + c * b for a, b in zip(out[shift:], before)]

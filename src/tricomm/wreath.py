@@ -26,6 +26,7 @@ total size m, residue z's partition listing the lengths paired with z.
 
 import itertools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from . import series
@@ -74,18 +75,6 @@ def cycle_sum_invariants(x: bytes, t: int, m: int) -> tuple[tuple[int, int], ...
     return tuple(sorted(pairs))
 
 
-def _order_exceeds(t: int, m: int, cap: int) -> bool:
-    """True iff |W(t, m)| = t^m * m! is above `cap`.  The order is built as
-    the product of t*k for k = 1..m, stopping once it passes the cap, so a
-    huge m costs about log2(cap) steps, not its full product."""
-    order = 1
-    for k in range(1, m + 1):
-        if order > cap:
-            return True
-        order *= t * k
-    return order > cap
-
-
 def enumerate_wreath(t: int, m: int) -> GroupTable:
     """All t^m * m! elements of W(t, m) as a table of their images in
     S_(t*m), in lexicographic order: the centralizer there of the rotation
@@ -106,8 +95,10 @@ def wreath_family(order_cap: int, t_max: int, m_max: int) -> list[tuple[int, int
     group over the cap."""
     family = []
     for t in range(1, t_max + 1):
+        order = 1
         for m in range(m_max + 1):
-            if _order_exceeds(t, m, order_cap):
+            order *= max(t * m, 1)
+            if order > order_cap:
                 break
             family.append((t, m))
     return family
@@ -176,7 +167,7 @@ def enumerate_class_labels(t: int, m: int) -> list[tuple[tuple[int, int], ...]]:
         raise ValueError(f"point count must be >= 0, got {m}")
     out = []
     for p in enumerate_partitions(m):
-        mult = p.multiplicities()
+        mult = Counter(p)
         choices = [itertools.combinations_with_replacement(range(t), k) for k in mult.values()]
         for residues in itertools.product(*choices):
             pairs = [(z, length) for length, zs in zip(mult, residues) for z in zs]
@@ -186,28 +177,25 @@ def enumerate_class_labels(t: int, m: int) -> list[tuple[tuple[int, int], ...]]:
 
 def require_structure_check(t: int, m: int) -> None:
     """Refuse W(t, m) before any listing: the series-order cap, then
-    |W| above STRUCTURE_CEILING, named symbolically however large, then
-    |W| * k(W) above it, then t * m above the `bytes` point limit of its
-    image in S_(t*m).  Since k(W) <= |W|, k(W) is read only when |W|^2 is
-    above the ceiling.  Within the ceiling only the cyclic W(t, 1) with
-    257 <= t <= 1732 have more than 256 points; every other group has at
-    most 80."""
+    |W| above STRUCTURE_CEILING, then |W| * k(W) above it, then t * m
+    above the `bytes` point limit of its image in S_(t*m).  Within the
+    ceiling only the cyclic W(t, 1) with 257 <= t <= 1732 have more than
+    256 points; every other group has at most 80."""
     _check_series_order(t, m)
-    if _order_exceeds(t, m, STRUCTURE_CEILING):
+    order = t**m * math.factorial(m)
+    if order > STRUCTURE_CEILING:
         raise CapExceeded(
             f"W({t},{m}) with {t}^{m}*{m}! elements",
             "wreath structure ceiling",
             STRUCTURE_CEILING,
         )
-    order = t**m * math.factorial(m)
-    if order * order > STRUCTURE_CEILING:
-        tests = order * k_wreath(t, m)
-        if tests > STRUCTURE_CEILING:
-            raise CapExceeded(
-                f"W({t},{m}) structure check with |W|*k = {tests} commutation tests",
-                "wreath structure ceiling",
-                STRUCTURE_CEILING,
-            )
+    tests = order * k_wreath(t, m)
+    if tests > STRUCTURE_CEILING:
+        raise CapExceeded(
+            f"W({t},{m}) structure check with |W|*k = {tests} commutation tests",
+            "wreath structure ceiling",
+            STRUCTURE_CEILING,
+        )
     if t * m > POINT_LIMIT:
         raise CapExceeded(
             f"W({t},{m}) acting on t*m = {t * m} points", "permutation point limit", POINT_LIMIT

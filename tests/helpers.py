@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -315,7 +316,7 @@ def class_count_by_types(n: int) -> int:
     total = 0
     for ct in partitions.enumerate_partitions(n):
         w = 1
-        for t, m in ct.multiplicities().items():
+        for t, m in Counter(ct).items():
             w *= k[t, m]
         total += w
     return total

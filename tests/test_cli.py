@@ -9,7 +9,6 @@ import pytest
 from helpers import ROOT, add_centralizer_pairs, run_cli, run_python
 from tricomm import cli, numtheory, pipeline, series, wreath
 from tricomm.cli import main
-from tricomm.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -158,7 +157,7 @@ def test_verify_corrupted_wreath_row_names_index(capsys, monkeypatch):
 def test_verify_names_an_inexact_route_c_quotient(parts, naive_line, capsys, monkeypatch):
     # One more pair for the class of g adds class size triples, which n!
     # does not divide.
-    add_centralizer_pairs(monkeypatch, Partition(parts), lambda table: 1)
+    add_centralizer_pairs(monkeypatch, parts, lambda table: 1)
     code, out, err = run(capsys, "verify", "-N", "8", "-K", "8")
     assert (code, err) == (1, "")
     assert out == (
@@ -172,7 +171,7 @@ def test_verify_names_an_inexact_route_c_quotient(parts, naive_line, capsys, mon
 
 
 def test_brute_names_an_inexact_route_c_quotient(tmp_path, capsys, monkeypatch):
-    add_centralizer_pairs(monkeypatch, Partition((3, 2, 1)), lambda table: 1)
+    add_centralizer_pairs(monkeypatch, (3, 2, 1), lambda table: 1)
     out_path = tmp_path / "brute.txt"
     code, out, err = run(capsys, "brute", "-N", "7", "--out", str(out_path))
     assert (code, out) == (1, "")

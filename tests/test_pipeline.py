@@ -8,7 +8,7 @@ import helpers
 from helpers import coeffs_product_by_mul
 from tricomm import numtheory, partitions, permgroup, pipeline, series, wreath
 from tricomm.errors import CapExceeded
-from tricomm.partitions import Partition, centralizer_order
+from tricomm.partitions import centralizer_order
 from tricomm.permgroup import permutation_of_type, triples_centralizer, triples_naive
 
 # OEIS A061256, n = 0..8: T(n)/n! for the commuting triples T(n) of S_n.
@@ -227,7 +227,7 @@ def test_naive_oracle_cross_check():
 def test_verify_identity_corrupted_route_c_names_first_bad_index(monkeypatch):
     # Adding |Cent(g)| pairs for one class of S_6 adds class size * |Cent(g)|
     # = 6! triples: T(6)/6! rises by exactly 1 and stays an exact division.
-    ct = Partition((3, 2, 1))
+    ct = (3, 2, 1)
     target = permutation_of_type(ct)
     honest = permgroup.centralizer_pairs
 
@@ -276,29 +276,29 @@ def test_verify_identity_names_a_corrupted_route_b_row_entry(monkeypatch, t, m):
 # Every cycle type of degree 2..7 but the identity's, whose term route C
 # adds without `centralizer_pairs`.
 ROUTE_C_TYPES = [
-    ct for n in range(2, 8) for ct in partitions.enumerate_partitions(n) if max(ct.parts) > 1
+    ct for n in range(2, 8) for ct in partitions.enumerate_partitions(n) if max(ct) > 1
 ]
 
 
-@pytest.mark.parametrize("ct", ROUTE_C_TYPES, ids=[str(ct.parts) for ct in ROUTE_C_TYPES])
+@pytest.mark.parametrize("ct", ROUTE_C_TYPES, ids=[str(ct) for ct in ROUTE_C_TYPES])
 def test_verify_identity_names_a_corrupted_route_c_cycle_type(monkeypatch, ct):
     # +|Cent(g)| pairs for the class of g adds class size * |Cent(g)| = n!
     # triples, so the division stays exact and T(n)/n! rises by 1 at n = |ct|.
     helpers.add_centralizer_pairs(monkeypatch, ct, len)
     report = pipeline.verify_identity(60, 7)
-    assert report.brute[ct.size] == A061256_PREFIX[ct.size] + 1
-    assert report.first_disagreement == ct.size
+    assert report.brute[sum(ct)] == A061256_PREFIX[sum(ct)] + 1
+    assert report.first_disagreement == sum(ct)
 
 
-@pytest.mark.parametrize("ct", ROUTE_C_TYPES, ids=[str(ct.parts) for ct in ROUTE_C_TYPES])
+@pytest.mark.parametrize("ct", ROUTE_C_TYPES, ids=[str(ct) for ct in ROUTE_C_TYPES])
 def test_verify_identity_names_an_inexact_route_c_cycle_type(monkeypatch, ct):
     # +1 pair adds class size = n!/|Cent(g)| triples, which n! does not
     # divide for g != id: route C has no integer quotient at n = |ct|.
     helpers.add_centralizer_pairs(monkeypatch, ct, lambda table: 1)
     report = pipeline.verify_identity(60, 7)
-    assert report.brute[ct.size] is None
-    assert report.brute[: ct.size] == A061256_PREFIX[: ct.size]
-    assert report.first_disagreement == ct.size
+    assert report.brute[sum(ct)] is None
+    assert report.brute[: sum(ct)] == A061256_PREFIX[: sum(ct)]
+    assert report.first_disagreement == sum(ct)
 
 
 def test_routes_b_and_c_never_reach_sigma(monkeypatch):

@@ -4,8 +4,9 @@ Everything here is exact integer arithmetic.  The single value `sigma`,
 route A's exponent, is found by trial division; there is no factorization
 fast path on purpose.  The weights w(d) = sum(a*sigma(a) for a | d) come
 only as a range (`divisor_weights`, read by `pipeline.check_log` and by
-`bound_check`), sieved: one table of each d's smallest prime power part
-and one multiplicative pass that builds sigma at prime powers itself and
+`bound_check`), sieved: one table holding, for each d, the power of d's
+largest prime up to sqrt(d_max), found from the same table, and one
+multiplicative pass that builds sigma at prime powers itself and
 never calls `sigma`.
 """
 
@@ -43,12 +44,14 @@ def divisor_weights(d_max: int) -> list[int]:
 
     The weight is multiplicative (a Dirichlet convolution of 1 with
     n*sigma(n)), so it is built from prime powers.  One table `part` holds,
-    for each d, the largest power q of d's smallest prime that divides d:
-    each prime up to sqrt(d_max), largest first, writes its powers, smallest
+    for each d, the largest power q of d's largest prime up to sqrt(d_max)
+    that divides d: each p up to sqrt(d_max), smallest first, is a prime
+    exactly when `part[p]` is still 0, since every smaller prime has
+    written its multiples by then.  A prime writes its powers, smallest
     first, over their multiples, and sets w(q) = w(q/p) + q*sigma(q) with
     sigma(q) = p*sigma(q/p) + 1.  Then d with no entry is a prime above
     sqrt(d_max), w(d) = 1 + d*(d + 1), and any d other than a prime power
-    takes w(d/q)*w(q).
+    takes w(d/q)*w(q), which holds for any prime power part q of d.
     """
     if d_max < 0:
         raise ValueError(f"divisor_weights requires d_max >= 0, got {d_max}")
@@ -56,15 +59,10 @@ def divisor_weights(d_max: int) -> list[int]:
     if d_max == 0:
         return w
     w[1] = 1
-    root = isqrt(d_max)
-    composite = bytearray(root + 1)
-    primes = []
-    for p in range(2, root + 1):
-        if not composite[p]:
-            primes.append(p)
-            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
     part = [0] * (d_max + 1)
-    for p in reversed(primes):
+    for p in range(2, isqrt(d_max) + 1):
+        if part[p]:
+            continue
         q, s = p, 1
         while q <= d_max:
             part[q::q] = [q] * (d_max // q)

@@ -99,19 +99,12 @@ class GroupTable:
             raise ValueError("table of order > 1 has no generators")
         self.mul = compose
         self.generators = tuple(generators)
-        self._index: dict | None = None
 
     def _mul_commutes(self, x, y) -> bool:
         return self.mul(x, y) == self.mul(y, x)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def index(self) -> dict:
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.elements)}
-        return self._index
 
 
 def symmetric_generators(n: int) -> tuple[Perm, ...]:
@@ -198,7 +191,7 @@ def conjugacy_classes(table: GroupTable) -> tuple[tuple[int, ...], ...]:
     then s^-1 through that.
     """
     elems = table.elements
-    index = table.index
+    index = {g: i for i, g in enumerate(elems)}
     pad = PAD[len(elems[0]):]
     gens = table.generators
     conjugators = [
@@ -301,13 +294,10 @@ def _commuting_counter(elements: tuple[Perm, ...]):
     """
     size = len(elements)
     degree = len(elements[0])
-    parts = [[] for _ in range(degree)]
-    for start in range(0, size, JOIN_CHUNK):
-        flat = b"".join(elements[start:start + JOIN_CHUNK])
-        for i, part in enumerate(parts):
-            part.append(flat[i::degree])
-    columns = [b"".join(part) for part in parts]
-    del parts
+    chunks = [
+        b"".join(elements[start:start + JOIN_CHUNK]) for start in range(0, size, JOIN_CHUNK)
+    ]
+    columns = [b"".join([chunk[i::degree] for chunk in chunks]) for i in range(degree)]
     values = [int.from_bytes(column, "little") for column in columns]
     pad = PAD[degree:]
 

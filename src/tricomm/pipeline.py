@@ -102,25 +102,22 @@ def coeffs_brute(n_max: int) -> list[int | None]:
 
 
 class CoefficientReport(NamedTuple):
-    """Coefficientwise comparison of the three routes."""
+    """Coefficientwise comparison of the three routes.
+
+    `first_disagreement` is the first index where routes A and B differ,
+    or where route C differs from them within `brute_max`; None if they
+    agree everywhere."""
 
     order: int
     brute_max: int
     product: tuple[int, ...]
     classes: tuple[int, ...]
     brute: tuple[int | None, ...]
-    agreements: tuple[bool, ...]
+    first_disagreement: int | None
 
     @property
     def overall(self) -> bool:
-        return all(self.agreements)
-
-    @property
-    def first_disagreement(self) -> int | None:
-        for i, okay in enumerate(self.agreements):
-            if not okay:
-                return i
-        return None
+        return self.first_disagreement is None
 
 
 def verify_identity(
@@ -142,8 +139,9 @@ def verify_identity(
     c = coeffs_brute(brute_max)
     a = coeffs_product(order, sigma_fn=sigma_fn)
     b = coeffs_classes(order)
-    agreements = tuple(
-        a[i] == b[i] and (i > brute_max or a[i] == c[i]) for i in range(order + 1)
+    first_disagreement = next(
+        (i for i in range(order + 1) if a[i] != b[i] or (i <= brute_max and a[i] != c[i])),
+        None,
     )
     return CoefficientReport(
         order=order,
@@ -151,7 +149,7 @@ def verify_identity(
         product=a,
         classes=b,
         brute=tuple(c),
-        agreements=agreements,
+        first_disagreement=first_disagreement,
     )
 
 

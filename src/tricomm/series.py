@@ -21,12 +21,13 @@ from .errors import CapExceeded
 # order^2.3, so the cap keeps it well inside the 60 s budget.
 SERIES_ORDER_CAP = 4000
 
-# A list is packed only when each of its residue classes mod step holds at
-# least ROW_UPDATES_BELOW * step entries: every class costs one more packed
-# multiply.  A dense product of two partition-number rows took the same
-# time packed and by row updates at 7 entries, and was 7% faster packed at
-# 8 (Python 3.11, 2 vCPUs).
-ROW_UPDATES_BELOW = 8
+# The packing gate's minimum per step: a list is packed only when each of
+# its residue classes mod step holds at least PACKED_MIN_PER_STEP * step
+# entries, since every class costs one more packed multiply.  A dense
+# product of two partition-number rows took the same time packed and by
+# row updates at 7 entries, and was 7% faster packed at 8 (Python 3.11,
+# 2 vCPUs).
+PACKED_MIN_PER_STEP = 8
 
 # The largest step * len(out) at which the residue classes are packed.  The
 # coefficients of routes A and B grow with the order, and a multiply of
@@ -55,7 +56,7 @@ def imul_substituted(out: list[int], row, step: int) -> None:
     product taken largest factor first keeps g large.
 
     When every coefficient of `out` and of the row is >= 0, each residue
-    class of `out` mod step holds at least ROW_UPDATES_BELOW * step entries
+    class of `out` mod step holds at least PACKED_MIN_PER_STEP * step entries
     and step * len(out) <= PACKED_SPAN, the product is instead one
     big-integer product per residue class (`_imul_packed`).
     """
@@ -64,7 +65,7 @@ def imul_substituted(out: list[int], row, step: int) -> None:
     if row[0] != 1:
         raise ValueError(f"row must have constant term 1, got {row[0]}")
     size = len(out)
-    if size >= ROW_UPDATES_BELOW * step * step and step * size <= PACKED_SPAN:
+    if size >= PACKED_MIN_PER_STEP * step * step and step * size <= PACKED_SPAN:
         terms = row[: (size - 1) // step + 1]
         if min(out) >= 0 and min(terms) >= 0:
             _imul_packed(out, terms, step)

@@ -6,16 +6,17 @@ factor's colors before adding them:
 
     (A, e) * (B, f) = (A + B.e, e*f)   with (B.e)[i] = B[e^-1(i)]
 
-Every element is listed as its image in S_(t*m) (`embed`): on the points
-c*m + i, c a color and i a point,
+Every element is listed as its image in S_(t*m): on the points c*m + i,
+c a color and i a point,
 
     (A, e) maps c*m + i to ((c + A[e(i)]) mod t)*m + e(i),
 
 a faithful homomorphism, so a wreath table is a table of `bytes`
 permutations like any other `permgroup` table.  Its first m points carry
 e(i) = x[i] % m and A[e(i)] = x[i] // m.  The image is exactly the
-centralizer in S_(t*m) of the rotation (1, ..., 1; id), and
-`enumerate_wreath` lists it as one, with `permgroup.centralizer`.
+centralizer in S_(t*m) of the rotation (1, ..., 1; id), which sends point
+k to k + m mod t*m, and `enumerate_wreath` lists it as one, with
+`permgroup.centralizer`.
 
 Conjugacy is decided by cycle sums: each cycle c of the permutation part
 contributes the pair (sum of colors over c mod t, len(c)), and the multiset
@@ -38,7 +39,6 @@ from .permgroup import (
     centralizer,
     commuting_pairs,
     conjugacy_classes,
-    identity_perm,
     perm_cycles,
 )
 
@@ -53,18 +53,10 @@ from .permgroup import (
 STRUCTURE_CEILING = 3_000_000
 
 
-def embed(colors, perm, t: int) -> bytes:
-    """The image in S_(t*m) of (colors, perm), an element of W(t, m) with
-    m = len(perm): c*m + i goes to ((c + colors[e(i)]) mod t)*m + e(i),
-    e = perm."""
-    m = len(perm)
-    return bytes(((c + colors[j]) % t) * m + j for c in range(t) for j in perm)
-
-
 def cycle_sum_invariants(x: bytes, t: int, m: int) -> tuple[tuple[int, int], ...]:
     """One (color sum mod t, cycle length) pair per cycle of the permutation
-    part of x, an element of W(t, m) as `embed` lists it, fixed points
-    included, sorted by residue then length.
+    part of x, an element of W(t, m) as its image in S_(t*m) (see the
+    module docstring), fixed points included, sorted by residue then length.
 
     Over a cycle of e the colors A[e(i)] = x[i] // m run through those of
     the cycle's own points, so they are summed without decoding A."""
@@ -78,13 +70,14 @@ def cycle_sum_invariants(x: bytes, t: int, m: int) -> tuple[tuple[int, int], ...
 def enumerate_wreath(t: int, m: int) -> GroupTable:
     """All t^m * m! elements of W(t, m) as a table of their images in
     S_(t*m), in lexicographic order: the centralizer there of the rotation
-    (1, ..., 1; id), which is m disjoint t-cycles.  That rotation is
-    central, and its centralizer has t^m * m! elements, so the two groups
-    are equal; `permgroup.centralizer` lists it.
+    (1, ..., 1; id), which sends point k to k + m mod t*m and so is m
+    disjoint t-cycles.  That rotation is central, and its centralizer has
+    t^m * m! elements, so the two groups are equal; `permgroup.centralizer`
+    lists it.
 
     `require_structure_check` refuses before any listing."""
     require_structure_check(t, m)
-    return centralizer(embed((1,) * m, identity_perm(m), t))
+    return centralizer(bytes(range(m, t * m)) + bytes(range(m)))
 
 
 def wreath_family(order_cap: int, t_max: int, m_max: int) -> list[tuple[int, int]]:

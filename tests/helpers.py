@@ -11,7 +11,8 @@ plain tuples of `Fraction`; the library itself is integer-only.  The
 library composes `bytes` permutations with `bytes.translate`; the
 reference product here indexes tuples.  The library lists W(t, m) as
 permutations of t*m points; the wreath group law on (colors, perm) pairs
-lives here, as the reference the embedding is checked against.
+and the embedding formula that maps a pair to its image (`embed`) live
+here, as the reference the listed tables are checked against.
 """
 
 import itertools
@@ -128,7 +129,8 @@ def centralizer_by_filter(g, table) -> tuple:
 def conjugacy_classes_full_sweep(table):
     """Reference orbit partition: each orbit conjugates its first element by
     every element of the table; no generators."""
-    elems, mul, inv, index = table.elements, table.mul, inverse_perm, table.index
+    elems, mul, inv = table.elements, table.mul, inverse_perm
+    index = {g: i for i, g in enumerate(elems)}
     assigned = [False] * len(elems)
     classes = []
     for i, g in enumerate(elems):
@@ -208,8 +210,11 @@ def wreath_elements(t: int, m: int) -> tuple[WreathElement, ...]:
 
 
 def embed(x: WreathElement) -> bytes:
-    """The library's image of x in S_(t*m)."""
-    return wreath.embed(x.colors, x.perm, x.modulus)
+    """The image of x = (A, e) in S_(t*m) that the library lists: point
+    c*m + i goes to ((c + A[e(i)]) mod t)*m + e(i)."""
+    a, e, t = x
+    m = len(e)
+    return bytes(((c + a[j]) % t) * m + j for c in range(t) for j in e)
 
 
 def decode(image: bytes, t: int, m: int) -> WreathElement:

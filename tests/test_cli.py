@@ -459,7 +459,7 @@ def test_wreath_brute_refuses_a_huge_order_before_any_series_work(capsys, monkey
 @pytest.mark.parametrize("argv", [["wreath", "4000", "1", "--brute"], ["wreath", "2", "7", "--brute"]])
 def test_wreath_brute_above_the_structure_ceiling_refused_before_listing(argv, capsys, monkeypatch):
     # No element of the group is built before the refusal.
-    monkeypatch.setattr(wreath, "embed", must_not_run)
+    monkeypatch.setattr(wreath, "centralizer", must_not_run)
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 0.5

@@ -108,6 +108,13 @@ def test_divisor_weights_match_trial_division():
         assert weights[d] == divisor_weight(d)
 
 
+def test_divisor_weights_do_not_depend_on_where_the_sieve_stops():
+    # Up to 1100, sqrt(d_max) passes every prime up to 31 and its square.
+    full = numtheory.divisor_weights(1100)
+    for d_max in range(1101):
+        assert numtheory.divisor_weights(d_max) == full[: d_max + 1], d_max
+
+
 @pytest.mark.parametrize("d_max", [0, 1, 2, 3])
 def test_divisor_weights_below_the_first_sieving_prime(d_max):
     assert numtheory.divisor_weights(d_max) == [0, 1, 7, 13][: d_max + 1]

@@ -248,8 +248,8 @@ def test_imul_substituted_all_coefficients_at_the_maximum(size, step):
 
 def test_imul_substituted_strategy_choice(monkeypatch):
     p = helpers.partition_series(40)
-    short = series.ROW_UPDATES_BELOW - 1
-    # Dense non-negative products pack from ROW_UPDATES_BELOW entries on.
+    short = series.PACKED_MIN_PER_STEP - 1
+    # Dense non-negative products pack from PACKED_MIN_PER_STEP entries on.
     assert imul_checked(list(p[: short + 1]), list(p), 1)
     assert not imul_checked(list(p[:short]), list(p), 1)
     # A row in u^2 packs once each residue class holds 2 * 8 entries.

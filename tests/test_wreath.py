@@ -327,7 +327,7 @@ def test_structure_ceiling_refuses_before_any_listing(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a group was listed before the structure ceiling refused")
 
-    monkeypatch.setattr(wreath, "embed", must_not_run)
+    monkeypatch.setattr(wreath, "centralizer", must_not_run)
     wreath.require_structure_check(2, 6)
     for t, m in [(2, 7), (4000, 1), (9, 8), (1, 9), (2, 2000)]:
         with pytest.raises(CapExceeded, match="wreath structure ceiling=3000000"):
@@ -340,7 +340,7 @@ def test_point_limit_refuses_only_the_large_cyclic_groups(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a group was listed before the point limit refused")
 
-    monkeypatch.setattr(wreath, "embed", must_not_run)
+    monkeypatch.setattr(wreath, "centralizer", must_not_run)
     wreath.require_structure_check(256, 1)
     for t in (257, 1000, 1732):
         with pytest.raises(

@@ -155,8 +155,11 @@ def verify_identity(
 
 class LogReport(NamedTuple):
     order: int
-    ok: bool
     first_mismatch: int | None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_mismatch is None
 
 
 def verify_log(order: int) -> LogReport:
@@ -186,5 +189,5 @@ def check_log(a: tuple[int, ...]) -> LogReport:
     b = numtheory.divisor_weights(order)
     for n in range(1, order + 1):
         if n * a[n] != sum(map(mul, b[1 : n + 1], a[n - 1 :: -1])):
-            return LogReport(order=order, ok=False, first_mismatch=n)
-    return LogReport(order=order, ok=True, first_mismatch=None)
+            return LogReport(order=order, first_mismatch=n)
+    return LogReport(order=order, first_mismatch=None)

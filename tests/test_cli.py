@@ -101,7 +101,7 @@ def test_verify_full_output_is_pinned(capsys):
     assert out == (
         "identity: product == classes on 0..60, == brute on 0..7: ok\n"
         "log coefficients: ok on 1..60\n"
-        "commuting-pair identity: ok on S_0..S_4 and 17 wreath groups\n"
+        "commuting-pair identity: ok on 17 wreath groups\n"
         "wreath conjugacy structure: ok on 17 wreath groups\n"
         "naive triple count: ok on 0..5\n"
         "VERIFIED\n"
@@ -163,7 +163,7 @@ def test_verify_names_an_inexact_route_c_quotient(parts, naive_line, capsys, mon
     assert out == (
         f"identity: FIRST DISAGREEMENT at index {sum(parts)}\n"
         "log coefficients: ok on 1..8\n"
-        "commuting-pair identity: ok on S_0..S_4 and 17 wreath groups\n"
+        "commuting-pair identity: ok on 17 wreath groups\n"
         "wreath conjugacy structure: ok on 17 wreath groups\n"
         f"{naive_line}"
         "FAILED\n"
@@ -375,8 +375,34 @@ def test_verify_names_each_wreath_group_with_a_repeated_label(t, m, capsys, monk
     assert out == (
         "identity: product == classes on 0..8, == brute on 0..4: ok\n"
         "log coefficients: ok on 1..8\n"
-        "commuting-pair identity: ok on S_0..S_4 and 17 wreath groups\n"
+        "commuting-pair identity: ok on 17 wreath groups\n"
         f"wreath conjugacy structure: FAILED on W({t},{m})\n"
+        "naive triple count: ok on 0..4\n"
+        "FAILED\n"
+    )
+
+
+@pytest.mark.parametrize("t, m", cli.VERIFY_WREATH_FAMILY)
+def test_verify_names_each_wreath_group_with_a_surplus_commuting_pair(t, m, capsys, monkeypatch):
+    # Negative control for the commuting-pair line over `verify`'s whole
+    # family: W(t, m)'s pair count one too large fails that group alone, and
+    # no line that does not read the pair count.
+    report = cli.class_structure_report
+
+    def one_pair_too_many(tt, mm):
+        rep = report(tt, mm)
+        if (tt, mm) == (t, m):
+            return rep._replace(commuting_pairs=rep.commuting_pairs + 1)
+        return rep
+
+    monkeypatch.setattr(cli, "class_structure_report", one_pair_too_many)
+    code, out, err = run(capsys, "verify", "-N", "8", "-K", "4")
+    assert (code, err) == (1, "")
+    assert out == (
+        "identity: product == classes on 0..8, == brute on 0..4: ok\n"
+        "log coefficients: ok on 1..8\n"
+        f"commuting-pair identity: FAILED on W({t},{m})\n"
+        "wreath conjugacy structure: ok on 17 wreath groups\n"
         "naive triple count: ok on 0..4\n"
         "FAILED\n"
     )

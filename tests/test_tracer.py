@@ -3,9 +3,11 @@
 `perfbench/tracer.py` reads `GroupTable._mul_commutes` as a method and the
 `mul` that `enumerate_symmetric` stores, and rebinds names imported with
 `from ... import`.  A traced command must print exactly what the untraced
-one prints and report no binding left unwrapped.
+one prints and report no binding left unwrapped.  An import that a library
+module never reads is allowed only while the tracer pins it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -38,3 +40,38 @@ def test_traced_run_prints_the_untraced_output_with_every_binding_wrapped(argv):
     head, marker, tail = traced.stderr.rpartition(TRACE_MARKER)
     assert marker and head == plain.stderr
     assert json.loads(tail)["unwrapped"] == []
+
+
+def _assigned(tree, name):
+    """The literal value assigned to `name` at the top of a module, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_unread_import_is_pinned_by_the_tracer():
+    # Read from the source, not imported, so this check needs no perfbench
+    # on the path and runs none of its code.
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    pinned = _assigned(tracer, "REQUIRED_BINDINGS")
+    unpinned = []
+    for path in sorted((ROOT / "src" / "tricomm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = set(_assigned(tree, "__all__") or ())
+        unread = imported - read - exported - set(pinned.get(path.stem, ()))
+        unpinned += [f"{path.stem}.{name}" for name in sorted(unread)]
+    assert unpinned == []

@@ -11,54 +11,4 @@ product class counts (route B), brute-forces small symmetric groups (route C),
 and checks that all three agree coefficient by coefficient.
 """
 
-from .errors import CapExceeded
-from .numtheory import bound_check, sigma
-from .partitions import centralizer_order, enumerate_partitions
-from .permgroup import (
-    GroupTable,
-    commuting_pairs,
-    conjugacy_classes,
-    cycle_type,
-    enumerate_symmetric,
-    triples_centralizer,
-    triples_naive,
-)
-from .pipeline import (
-    coeffs_brute,
-    coeffs_classes,
-    coeffs_product,
-    verify_identity,
-    verify_log,
-)
-from .wreath import (
-    cycle_sum_invariants,
-    enumerate_class_labels,
-    enumerate_wreath,
-    k_wreath,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapExceeded",
-    "GroupTable",
-    "bound_check",
-    "centralizer_order",
-    "coeffs_brute",
-    "coeffs_classes",
-    "coeffs_product",
-    "commuting_pairs",
-    "conjugacy_classes",
-    "cycle_sum_invariants",
-    "cycle_type",
-    "enumerate_class_labels",
-    "enumerate_partitions",
-    "enumerate_symmetric",
-    "enumerate_wreath",
-    "k_wreath",
-    "sigma",
-    "triples_centralizer",
-    "triples_naive",
-    "verify_identity",
-    "verify_log",
-]

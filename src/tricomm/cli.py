@@ -189,8 +189,10 @@ def _cmd_log_check(args) -> int:
 
 def _cmd_bound_check(args) -> int:
     report = numtheory.bound_check(args.order)
-    if report.equality_at_one:
-        print("d = 1: both sides equal 1 (equality, reported as informational)")
+    if not report.equality_at_one:
+        print("bound FAILS at d = 1: both sides must equal 1")
+        return 1
+    print("d = 1: both sides equal 1 (equality, reported as informational)")
     if report.all_strict_from_two:
         print(f"sum(a*sigma(a) for a | d) < d^4 holds strictly for 2 <= d <= {args.order}")
         return 0

@@ -90,7 +90,8 @@ class BoundReport(NamedTuple):
 
     At d = 1 both sides equal 1, so the strict inequality fails there by
     equality; that case is reported in `equality_at_one`, not treated as a
-    violation.  Only the violations at d >= 2 are kept.
+    violation, and a false `equality_at_one` means a wrong w(1).  Only the
+    violations at d >= 2 are kept.
     """
 
     d_max: int

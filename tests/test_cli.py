@@ -530,6 +530,23 @@ def test_bound_check_reports_first_failure(capsys, monkeypatch):
     assert out.splitlines()[-1] == "bound FAILS at d = 7: 2401 >= 2401"
 
 
+@pytest.mark.parametrize("w1", [0, 2])
+def test_bound_check_fails_on_a_wrong_weight_at_one(capsys, monkeypatch, w1):
+    # Negative control: both sides equal 1 at d = 1, so any other w(1) is
+    # the first failure, named before any d >= 2 line.
+    sieve = numtheory.divisor_weights
+
+    def weights_wrong_at_one(d_max):
+        lhs = sieve(d_max)
+        lhs[1] = w1
+        return lhs
+
+    monkeypatch.setattr(numtheory, "divisor_weights", weights_wrong_at_one)
+    code, out, _ = run(capsys, "bound-check", "-N", "10")
+    assert code == 1
+    assert out == "bound FAILS at d = 1: both sides must equal 1\n"
+
+
 def test_bound_check_above_cap_refused(capsys):
     code, out, err = run(capsys, "bound-check", "-N", "1000001")
     assert code == 3

@@ -315,6 +315,18 @@ def test_routes_b_and_c_never_reach_sigma(monkeypatch):
     assert pipeline.check_log(expected).ok
 
 
+def test_layers_of_routes_b_and_c_never_import_numtheory():
+    # Routes B and C compute only in these layers, so with `numtheory`
+    # never loaded they cannot reach `sigma`, even by import.
+    result = helpers.run_python(
+        "-c",
+        "import sys, tricomm.series, tricomm.partitions, tricomm.permgroup, "
+        "tricomm.wreath; print('tricomm.numtheory' in sys.modules)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_oracles_never_reach_the_code_they_check(monkeypatch):
     # Route B's series form, the partition Euler product, route A's
     # factor-by-factor product, the naive triple count and the log

@@ -34,12 +34,12 @@ def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sig
     Factors with j > order are 1 modulo u^(order+1), so the product over
     j = 1..order is already exact.  One list is multiplied in place by each
     factor (1 - u^j)^(-s), s = sigma_fn(j), for j from `order` down to 1.
-    While j*s < order that is s prefix-sum passes along every residue class
-    mod j (additions only); otherwise it is one `series.imul_substituted`
-    by the binomial row C(s+k-1, k) u^(j*k).  Largest factor first, the
-    list is zero at 1..j when factor j comes, and the kernel skips that
-    run.  `sigma_fn` is injectable so a corrupted table can drive
-    negative-control tests.
+    While j*s < order that is s chained prefix sums along each residue
+    class mod j, read and written back once (additions only); otherwise it
+    is one `series.imul_substituted` by the binomial row C(s+k-1, k)
+    u^(j*k).  Largest factor first, the list is zero at 1..j when factor j
+    comes, and the kernel skips that run.  `sigma_fn` is injectable so a
+    corrupted table can drive negative-control tests.
     """
     _require_series_order(order)
     out = [1] + [0] * order
@@ -48,9 +48,11 @@ def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sig
         if s < 1:
             raise ValueError(f"power s must be >= 1, got {s} at j = {j}")
         if j * s < order:
-            for _ in range(s):
-                for r in range(j):
-                    out[r::j] = accumulate(out[r::j])
+            for r in range(j):
+                column = out[r::j]
+                for _ in range(s):
+                    column = accumulate(column)
+                out[r::j] = column
         else:
             row = series.neg_binomial_factor(s, order // j)
             series.imul_substituted(out, row, j)
@@ -61,14 +63,22 @@ def coeffs_classes(order: int) -> tuple[int, ...]:
     """Route B (canonical form): per-coefficient sum over cycle types.
 
     Coefficient n is sum over partitions of n of prod(k_wreath(t, m_t)).
-    Adding m parts of size t multiplies by k_wreath(t, m), so the sum is w
-    multiplied in place by row t = sum(k_wreath(t, m) * u^(m*t)) for every
-    t, largest t first: w is zero at 1..t when row t comes, and the kernel
-    skips that run.  The coefficients k_wreath(t, m) are those of P^t,
-    P = row 1 (the partition numbers), so the rows are built first and
-    kept: row t >= 2 is a fresh copy of P, truncated at order // t,
-    multiplied in place by row t - 1.  Each such row and each product with
-    w is one `imul_substituted`.
+    Adding m parts of size t multiplies by k_wreath(t, m), so the sum is
+    the product over every t of row t, R_t(u^t), R_t(v) =
+    sum(k_wreath(t, m) * v^m).  The coefficients k_wreath(t, m) are those
+    of P^t, P = R_1 (the partition numbers), so all rows are built first:
+    row t >= 2 is a fresh copy of P, truncated at order // t, multiplied in
+    place by row t - 1.
+
+    Every t is an odd o times a power of two, so the product is taken one
+    odd o at a time, largest first.  Row o is folded in place with the rows
+    of its power-of-two multiples into f_o(v) = R_o(v) * R_2o(v^2) *
+    R_4o(v^4) * ..., truncated at order // o, and then w, held as one list,
+    is multiplied in place by f_o(u^o): w is zero at 1..o when f_o comes,
+    and the kernel skips that run.  Each class-count row is still read
+    exactly once, but w takes one multiply per odd o instead of one per t,
+    and the even rows' work runs on lists o times shorter.  Each row built,
+    each fold and each product with w is one `imul_substituted`.
     """
     _require_series_order(order)
     row_1 = list(k_wreath_series(1, order))
@@ -78,8 +88,14 @@ def coeffs_classes(order: int) -> tuple[int, ...]:
         series.imul_substituted(row, rows[-1], 1)
         rows.append(row)
     w = [1] + [0] * order
-    for t in range(order, 0, -1):
-        series.imul_substituted(w, rows[t], t)
+    for o in reversed(range(1, order + 1, 2)):
+        # A row is dropped once read, so w's last, widest products run
+        # while few rows are held.
+        f, rows[o] = rows[o], None
+        for k in range(1, (order // o).bit_length()):
+            series.imul_substituted(f, rows[o << k], 1 << k)
+            rows[o << k] = None
+        series.imul_substituted(w, f, o)
     return tuple(w)
 
 

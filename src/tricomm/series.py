@@ -10,15 +10,18 @@ that skip the list's zero run or by one big-integer product), the factor
 (1 - u)^(-s) and the series-order cap.
 """
 
+from itertools import compress, count
+
 from .errors import CapExceeded
 
 # Largest series order that routes A and B (`expand`, `classes`, `verify`,
 # `log-check`) and the wreath class counts accept; refused before any work,
 # like BOUND_CHECK_CAP.  The slowest of these at the cap,
-# `verify -N 4000 -K 8`, takes about 11 s and peaks at 24 MB, most of it
-# route B's rows of class counts, about order * ln(order) integers (medians
-# of 3 runs; Python 3.11, 2 vCPUs, shared host); time grows about as
-# order^2.3, so the cap keeps it well inside the 60 s budget.
+# `verify -N 4000 -K 8`, takes about 7.7 s and peaks at 24 MB, most of it
+# route B's rows of class counts, about order * ln(order) integers, and its
+# last packed product (medians of 3 runs; Python 3.11, 2 vCPUs, shared
+# host); time grows about as order^2.3, so the cap keeps it well inside
+# the 60 s budget.
 SERIES_ORDER_CAP = 4000
 
 # The packing gate's minimum per step: a list is packed only when each of
@@ -70,7 +73,8 @@ def imul_substituted(out: list[int], row, step: int) -> None:
         if min(out) >= 0 and min(terms) >= 0:
             _imul_packed(out, terms, step)
             return
-    gap = next(filter(out.__getitem__, range(1, size)), size)
+    # Only a nonzero below size - step can feed a shifted update.
+    gap = next(compress(count(1), out[1 : size - step]), size)
     before = out[gap:]
     for shift, c in zip(range(step, size, step), row[1:]):
         out[shift] += c * out[0]

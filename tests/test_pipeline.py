@@ -57,6 +57,13 @@ def test_coeffs_classes_examples():
     assert pipeline.coeffs_classes(4)[4] == 21
 
 
+def test_coeffs_classes_matches_coeffs_product_to_order_130():
+    # Both parities of the order, and odd parts with power-of-two chains
+    # of every length up to 2^7, which route B folds before it multiplies w.
+    for order in range(131):
+        assert pipeline.coeffs_classes(order) == pipeline.coeffs_product(order)
+
+
 def test_class_count_by_types_matches_canonical():
     c = pipeline.coeffs_classes(30)
     for n in range(31):
@@ -248,22 +255,36 @@ ROUTE_B_ENTRIES = [(t, m) for t in range(1, 61) for m in range(1, 60 // t + 1)]
 @pytest.mark.parametrize("t, m", ROUTE_B_ENTRIES)
 def test_verify_identity_names_a_corrupted_route_b_row_entry(monkeypatch, t, m):
     # Entry m of row t is k(W(t, m)); +1 there first changes coefficient t*m,
-    # the first index with m parts of length t.  Route B multiplies w, of
-    # length order + 1, by row t with step t; it builds every row but row 1,
-    # the partition numbers, with step 1 into a shorter list.  Only route
-    # B's multiplies go through the wrapper: route A shares the kernel.
+    # the first index with m parts of length t: the rows built from row t
+    # change only at entries m' >= m of rows t' > t, which reach coefficient
+    # t'*m' > t*m.  Route B takes row 1, the partition numbers, from
+    # `k_wreath_series`, then builds rows 2, 3, ... in turn, each by one
+    # step-1 multiply, before it folds any row or multiplies w; the entry
+    # is corrupted as its row is built.  Only route B's calls go through
+    # the wrappers: route A shares the kernel.
+    honest_row_1 = pipeline.k_wreath_series
     honest = series.imul_substituted
+    rows_built = 1
+
+    def corrupted_row_1(row_t, m_max):
+        row = list(honest_row_1(row_t, m_max))
+        if t == 1:
+            row[m] += 1
+        return tuple(row)
 
     def corrupted(out, row, step):
-        if step == t and len(out) == 61 and len(row) > m:
-            row = list(row)
-            row[m] += 1
+        nonlocal rows_built
         honest(out, row, step)
+        if step == 1:
+            rows_built += 1
+            if rows_built == t:
+                out[m] += 1
 
     honest_classes = pipeline.coeffs_classes
 
     def corrupted_classes(order):
         with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "k_wreath_series", corrupted_row_1)
             patch.setattr(series, "imul_substituted", corrupted)
             return honest_classes(order)
 

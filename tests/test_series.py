@@ -202,6 +202,19 @@ def test_imul_substituted_skips_a_zero_run_of_every_length(data, order, step, he
         imul_checked(out, row, step)
 
 
+@pytest.mark.parametrize("step", [1, 2, 3, 7])
+def test_imul_substituted_first_nonzero_at_or_past_size_minus_step(step):
+    # Only entries below size - step can feed a shifted update, so the
+    # zero-run scan stops there; a nonzero at or past it must still be
+    # kept, and the row's terms times out[0] still land.  A negative head
+    # keeps the row updates.
+    size = 16
+    row = [1, 4, -5, 6, -7, 8, 9, -1, 2, 3, 5, 6, 7, 8, 9, 1]
+    for first in range(size - step, size + 1):
+        out = [-3] + [0] * (first - 1) + list(range(2, 2 + size - first))
+        assert not imul_checked(out, row, step)
+
+
 @settings(max_examples=200)
 @given(
     data=st.data(),

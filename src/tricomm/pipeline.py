@@ -70,33 +70,23 @@ def coeffs_classes(order: int) -> tuple[int, ...]:
     row t >= 2 is a fresh copy of P, truncated at order // t, multiplied in
     place by row t - 1.
 
-    Every t is an odd o times a power of two, so the product is taken one
-    odd o at a time, largest first.  Row o is folded in place with the rows
-    of its power-of-two multiples into f_o(v) = R_o(v) * R_2o(v^2) *
-    R_4o(v^4) * ..., truncated at order // o, and then w, held as one list,
-    is multiplied in place by f_o(u^o): w is zero at 1..o when f_o comes,
-    and the kernel skips that run.  Each class-count row is still read
-    exactly once, but w takes one multiply per odd o instead of one per t,
-    and the even rows' work runs on lists o times shorter.  Each row built,
-    each fold and each product with w is one `imul_substituted`.
+    The product is taken as a tree: for t from the order down to 2, row t
+    is multiplied into row t // q, q the smallest prime of t, by one
+    `imul_substituted` with step q.  That is exact, since row t // q is
+    read in v = u^(t // q), where R_t(u^t) is R_t(v^q).  Every row is
+    folded before its parent and dropped as it is read, so each
+    class-count row is read exactly once, and row 1 is then the product.
     """
     _require_series_order(order)
     row_1 = list(k_wreath_series(1, order))
-    rows = [[1], row_1]
+    rows = {1: row_1}
     for t in range(2, order + 1):
-        row = row_1[: order // t + 1]
-        series.imul_substituted(row, rows[-1], 1)
-        rows.append(row)
-    w = [1] + [0] * order
-    for o in reversed(range(1, order + 1, 2)):
-        # A row is dropped once read, so w's last, widest products run
-        # while few rows are held.
-        f, rows[o] = rows[o], None
-        for k in range(1, (order // o).bit_length()):
-            series.imul_substituted(f, rows[o << k], 1 << k)
-            rows[o << k] = None
-        series.imul_substituted(w, f, o)
-    return tuple(w)
+        rows[t] = row_1[: order // t + 1]
+        series.imul_substituted(rows[t], rows[t - 1], 1)
+    for t in range(order, 1, -1):
+        q = next((q for q in range(2, math.isqrt(t) + 1) if t % q == 0), t)
+        series.imul_substituted(rows[t // q], rows.pop(t), q)
+    return tuple(row_1)
 
 
 def coeffs_brute(n_max: int) -> list[int | None]:

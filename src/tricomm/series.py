@@ -17,11 +17,12 @@ from .errors import CapExceeded
 # Largest series order that routes A and B (`expand`, `classes`, `verify`,
 # `log-check`) and the wreath class counts accept; refused before any work,
 # like BOUND_CHECK_CAP.  The slowest of these at the cap,
-# `verify -N 4000 -K 8`, takes about 7.7 s and peaks at 24 MB, most of it
-# route B's rows of class counts, about order * ln(order) integers, and its
-# last packed product (medians of 3 runs; Python 3.11, 2 vCPUs, shared
-# host); time grows about as order^2.3, so the cap keeps it well inside
-# the 60 s budget.
+# `verify -N 4000 -K 8`, takes about 7.6 s and peaks at 18 MB, 14.6 MB of
+# it the interpreter with tricomm loaded; route B's rows of class counts,
+# about order * ln(order) integers, are dropped as they are folded and
+# peak at 2 MB by tracemalloc (medians of 5 runs; Python 3.11, 2 vCPUs,
+# shared host).  Time grows about as order^2.3, so the cap keeps it well
+# inside the 60 s budget.
 SERIES_ORDER_CAP = 4000
 
 # The packing gate's minimum per step: a list is packed only when each of
@@ -34,10 +35,12 @@ PACKED_MIN_PER_STEP = 8
 
 # The largest step * len(out) at which the residue classes are packed.  The
 # coefficients of routes A and B grow with the order, and a multiply of
-# large packed ints grows faster than the row updates: route B's products
-# of a list of 401 entries with its rows packed faster for steps 1..13, of
-# 1001 entries for steps 1..8, of 2001 for steps 1..3 and of 4001 for step
-# 1 alone.
+# large packed ints grows faster than the row updates: products of route
+# B's coefficients with a row of class counts packed faster for steps 1..13
+# at 401 entries, 1..8 at 1001, 1..3 at 2001 and step 1 alone at 4001.
+# Lifting the span took route B's fold tree from 0.60 to 0.65 s at order
+# 2000 and from 3.9 to 4.4 s at 4000 (CPU time, medians of 11 and 5 runs;
+# Python 3.11, 2 vCPUs, shared host).
 PACKED_SPAN = 6000
 
 

@@ -272,15 +272,26 @@ def test_classes_order_1000_exits_cleanly(capsys):
 
 # sha256 of the b-file printed by `expand -N order` and `classes -N order`.
 # Order 400 is the benchmark's, which `perfbench/run.py` gates on the same hash.
+# Order 4000 is the series cap: there route B's folds into the 4001-entry row
+# 1 at prime steps 2..19 pass the packing gate's size test but not
+# `PACKED_SPAN`, so they take row updates; at order 2000 the step-2 fold is
+# packed and only steps 3..13 fall to `PACKED_SPAN`.
 BFILE_SHA256 = {
     400: "37064631786d9be5dbe7ea42f8dbc3f21c4cd6c3f869787e699b99e393db7938",
     1000: "89769c23f132f6a9268c733ea9c32e6ab81b2090bebb72ccfcbfb677979a35a5",
     2000: "c2ab1e030bda98fb2429b9d4130a69f5b01cb8add0f1badd4c0a624828cf7dd9",
+    4000: "1b3fd9de2cdcfcb5c7bd0fbc8d5181f6eddfbcc7755b3b3e7d0a5b6a7e031dde",
 }
 
 
 @pytest.mark.parametrize(
-    "order", [400, 1000, pytest.param(2000, marks=pytest.mark.slow)]
+    "order",
+    [
+        400,
+        1000,
+        pytest.param(2000, marks=pytest.mark.slow),
+        pytest.param(4000, marks=pytest.mark.slow),
+    ],
 )
 def test_expand_and_classes_bfiles_are_pinned(order, capsys):
     for command in ("expand", "classes"):

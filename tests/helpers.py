@@ -54,11 +54,6 @@ def run_python(*args, stdout=subprocess.PIPE, timeout=60):
     )
 
 
-def run_script(name, *args, timeout=60):
-    """Run `scripts/<name>` in a fresh interpreter."""
-    return run_python(str(ROOT / "scripts" / name), *args, timeout=timeout)
-
-
 def run_cli(*argv, stdout=subprocess.PIPE, timeout=60):
     """Run the real entry point, `python -m tricomm.cli *argv`, in a fresh
     interpreter."""

@@ -1,15 +1,14 @@
 """No input ends in a traceback: every numeric argument of every subcommand
-and of the census script at -1, 0, 1, 10^30 and a non-integer, and each
-removed cap flag at -1 and at 10^30, exits with the code README documents.
+at -1, 0, 1, 10^30 and a non-integer, and each removed cap flag at -1 and at
+10^30, exits with the code README documents.
 
 Each row holds one argument at "{}" and the others at cheap values, so every
-run either refuses or finishes well under a second.  CLI rows run in-process
-through `main()`; the scripts run in a fresh interpreter.
+run either refuses or finishes well under a second.  Rows run in-process
+through `main()`.
 """
 
 import pytest
 
-from helpers import run_script
 from tricomm.cli import main
 
 HUGE = str(10**30)
@@ -44,18 +43,12 @@ CAP_ROWS = [
     (["verify", "-N", "5", "-K", "3", "--cent-cap", "{}"], (2, 2)),
 ]
 
-SCRIPT_ROWS = [
-    ("wreath_census.py", ["--cap", "{}", "--t-max", "2", "--m-max", "2"], (2, 2, 0, 0, 2)),
-    ("wreath_census.py", ["--t-max", "{}", "--m-max", "2"], (2, 2, 0, 3, 2)),
-    ("wreath_census.py", ["--t-max", "2", "--m-max", "{}"], (2, 0, 0, 0, 2)),
-]
-
 
 def cases(rows, values):
     """One pytest param per (row, value), named by its command line."""
     return [
-        pytest.param(*head, args, code, id=" ".join(head + args))
-        for *head, argv, codes in rows
+        pytest.param(args, code, id=" ".join(args))
+        for argv, codes in rows
         for value, code in zip(values, codes)
         for args in [[value if arg == "{}" else arg for arg in argv]]
     ]
@@ -78,14 +71,3 @@ def test_cli_input_exits_with_its_documented_code(argv, code, capsys):
         assert out == "" and err.count("\n") >= 1
     if code == 3:
         assert err.startswith("refused: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("script, args, code", cases(SCRIPT_ROWS, VALUES))
-def test_script_input_exits_with_its_documented_code(script, args, code):
-    result = run_script(script, *args, timeout=10)
-    assert "Traceback" not in result.stderr
-    assert result.returncode == code, result.stderr
-    if code in (2, 3):
-        assert result.stdout == ""
-    if code == 3:
-        assert result.stderr.startswith("refused: ") and result.stderr.count("\n") == 1

@@ -289,6 +289,24 @@ def test_enumerate_class_labels_needs_no_stack_per_residue():
     assert len(set(labels)) == len(labels) == k_wreath(t, 1) == t
 
 
+def test_wreath_family_cap_is_inclusive_and_each_t_stops_at_it():
+    # S_7 = W(1, 7) has 5040 elements.
+    assert (1, 7) in wreath_family(5040, 1, 7)
+    assert (1, 7) not in wreath_family(5039, 1, 7)
+    # No group past a t's first one over the cap has its order computed,
+    # so a huge m_max lists the same groups and returns at once.
+    small = wreath_family(2000, 2, 8)
+    assert wreath_family(2000, 2, 20000) == small
+    assert wreath_family(2000, 2, 10**6) == small
+
+
+def test_wreath_family_is_t_major_and_empty_below_order_one():
+    assert wreath_family(1, 3, 5) == [(1, 0), (1, 1), (2, 0), (3, 0)]
+    # Every W(t, 0) has order 1.
+    for order_cap, t_max in [(-1, 9), (0, 9), (2000, 0)]:
+        assert wreath_family(order_cap, t_max, 8) == []
+
+
 def test_enumerated_labels_are_the_labels_of_the_elements():
     for t, m in wreath_family(400, t_max=4, m_max=4):
         elements = enumerate_wreath(t, m).elements

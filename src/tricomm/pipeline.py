@@ -168,13 +168,6 @@ class LogReport(NamedTuple):
         return self.first_mismatch is None
 
 
-def verify_log(order: int) -> LogReport:
-    """Check route A at `order` against the divisor formula for its formal log."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return check_log(coeffs_product(order))
-
-
 def check_log(a: tuple[int, ...]) -> LogReport:
     """Check the coefficients `a` of route A against the divisor formula
     for its formal log.

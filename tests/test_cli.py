@@ -108,6 +108,19 @@ def test_verify_full_output_is_pinned(capsys):
     )
 
 
+def test_verify_order_zero_output_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "-N", "0", "-K", "0")
+    assert (code, err) == (0, "")
+    assert out == (
+        "identity: product == classes on 0..0, == brute on 0..0: ok\n"
+        "log coefficients: skipped (order 0 has no log terms)\n"
+        "commuting-pair identity: ok on 17 wreath groups\n"
+        "wreath conjugacy structure: ok on 17 wreath groups\n"
+        "naive triple count: ok on 0..0\n"
+        "VERIFIED\n"
+    )
+
+
 def test_verify_corrupted_sigma_names_index(capsys):
     code, out, _ = run(capsys, "verify", "-N", "8", "-K", "2", "--corrupt-sigma", "3")
     assert code == 1
@@ -515,6 +528,40 @@ def test_log_check(capsys):
     code, out, _ = run(capsys, "log-check", "-N", "20")
     assert code == 0
     assert "agree" in out
+
+
+def _one_off_coefficients(monkeypatch, d):
+    honest = pipeline.coeffs_product
+
+    def perturbed(order, **kwargs):
+        coeffs = list(honest(order, **kwargs))
+        coeffs[d] += 1
+        return tuple(coeffs)
+
+    monkeypatch.setattr(pipeline, "coeffs_product", perturbed)
+
+
+def _one_off_weights(monkeypatch, d):
+    sieve = numtheory.divisor_weights
+
+    def perturbed(d_max):
+        weights = sieve(d_max)
+        weights[d] += 1
+        return weights
+
+    monkeypatch.setattr(numtheory, "divisor_weights", perturbed)
+
+
+@pytest.mark.parametrize(
+    "perturb", [_one_off_coefficients, _one_off_weights], ids=["route_a", "weights"]
+)
+@pytest.mark.parametrize("d", [1, 2, 7, 20])
+def test_log_check_names_the_first_mismatch(capsys, monkeypatch, perturb, d):
+    # Negative control: one route-A coefficient or one divisor weight off by
+    # one at d is the first log mismatch, and log-check exits 1.
+    perturb(monkeypatch, d)
+    code, out, err = run(capsys, "log-check", "-N", "20")
+    assert (code, out, err) == (1, f"log coefficient mismatch at d = {d}\n", "")
 
 
 def test_bound_check_reports_equality_note(capsys):

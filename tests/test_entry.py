@@ -57,6 +57,24 @@ def test_entry_writes_more_than_a_pipe_buffer_whole(capsys):
     assert result.stdout == in_process
 
 
+def test_entry_maps_an_unexpected_exception_to_exit_4():
+    # Exit 4, internal error: one stderr line, no traceback, no teardown warning.
+    code = "\n".join(
+        [
+            "import sys",
+            "from tricomm import cli, pipeline",
+            "def broken(order):",
+            "    raise RuntimeError('simulated fault')",
+            "pipeline.coeffs_classes = broken",
+            "sys.argv = ['tricomm', 'classes', '-N', '5']",
+            "cli.entry()",
+        ]
+    )
+    result = run_python("-c", code, timeout=30)
+    assert (result.returncode, result.stdout) == (4, "")
+    assert result.stderr == "internal error: RuntimeError: simulated fault\n"
+
+
 def test_entry_skips_interpreter_teardown():
     # An atexit hook registered before entry() never runs: the process ends
     # by os._exit once both streams are flushed.

@@ -160,14 +160,14 @@ def test_check_log_names_a_corrupted_divisor_weight(monkeypatch, d):
     assert pipeline.check_log(product).first_mismatch == d
 
 
-def test_verify_log_small_values():
+def test_check_log_small_values():
     logged = helpers.log(pipeline.coeffs_product(4), 4)
     assert logged[1] == 1
     assert logged[2] == Fraction(7, 2)
-    assert pipeline.verify_log(15).ok
+    assert pipeline.check_log(pipeline.coeffs_product(15)).ok
 
 
-def test_verify_log_detects_corruption_against_true_table():
+def test_check_log_detects_corruption_against_true_table():
     # Corrupt only the series side; the divisor formula keeps the honest
     # sigma, so the mismatch surfaces at the corrupted index.
     logged = helpers.log(pipeline.coeffs_product(8, sigma_fn=corrupt_sigma_at(3)), 8)
@@ -178,7 +178,7 @@ def test_verify_log_detects_corruption_against_true_table():
 
 
 @pytest.mark.parametrize("index", [1, 2, 7, 12])
-def test_verify_log_names_a_perturbed_route_a_coefficient(monkeypatch, index):
+def test_check_log_names_a_perturbed_route_a_coefficient(monkeypatch, index):
     honest = pipeline.coeffs_product
 
     def perturbed(order, **kwargs):
@@ -187,19 +187,19 @@ def test_verify_log_names_a_perturbed_route_a_coefficient(monkeypatch, index):
         return tuple(coeffs)
 
     monkeypatch.setattr(pipeline, "coeffs_product", perturbed)
-    report = pipeline.verify_log(12)
+    report = pipeline.check_log(pipeline.coeffs_product(12))
     assert not report.ok
     assert report.first_mismatch == index
 
 
-def test_verify_log_first_mismatch_is_first_log_mismatch(monkeypatch):
+def test_check_log_first_mismatch_is_first_log_mismatch(monkeypatch):
     # Against the Fraction log: the integer recurrence fails first exactly
     # where the formal log first leaves the divisor formula.
     bad = (1, 1, 4, 9, 21, 0, 3)
     monkeypatch.setattr(pipeline, "coeffs_product", lambda order, **kwargs: bad)
     logged = helpers.log(bad, 6)
     first = next(d for d in range(1, 7) if logged[d] != helpers.log_coefficient(d))
-    assert pipeline.verify_log(6).first_mismatch == first == 3
+    assert pipeline.check_log(pipeline.coeffs_product(6)).first_mismatch == first == 3
 
 
 def test_coeffs_classes_order_1000_has_no_recursion_limit():
@@ -228,9 +228,9 @@ def test_coeffs_classes_order_1000_drops_each_row_as_it_folds_it():
         lambda order: pipeline.coeffs_product(order),
         lambda order: pipeline.coeffs_classes(order),
         lambda order: pipeline.verify_identity(order, 2),
-        lambda order: pipeline.verify_log(order),
+        lambda order: pipeline.check_log(pipeline.coeffs_product(order)),
     ],
-    ids=["product", "classes", "verify_identity", "verify_log"],
+    ids=["product", "classes", "verify_identity", "log_check"],
 )
 def test_series_order_cap_refuses_before_any_work(monkeypatch, run):
     def must_not_run(*args, **kwargs):

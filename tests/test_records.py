@@ -7,7 +7,7 @@ from tricomm import numtheory, pipeline, wreath
 RECORDS = {
     "BoundReport": lambda: numtheory.bound_check(10),
     "CoefficientReport": lambda: pipeline.verify_identity(3, 2),
-    "LogReport": lambda: pipeline.verify_log(3),
+    "LogReport": lambda: pipeline.check_log(pipeline.coeffs_product(3)),
     "StructureReport": lambda: wreath.class_structure_report(2, 2),
 }
 

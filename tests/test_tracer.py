@@ -9,22 +9,12 @@ module never reads is allowed only while the tracer pins it.
 
 import ast
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-from helpers import ROOT
+from helpers import ROOT, run_cli, run_python
 
 TRACE_MARKER = "perfbench-trace "  # tracer.TRACE_MARKER
-
-
-def run(*argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
-    )
 
 
 @pytest.mark.parametrize(
@@ -33,8 +23,8 @@ def run(*argv):
     ids=["brute", "verify", "wreath"],
 )
 def test_traced_run_prints_the_untraced_output_with_every_binding_wrapped(argv):
-    plain = run("-m", "tricomm.cli", *argv)
-    traced = run(str(ROOT / "perfbench" / "tracer.py"), *argv)
+    plain = run_cli(*argv)
+    traced = run_python(str(ROOT / "perfbench" / "tracer.py"), *argv)
     assert (plain.returncode, traced.returncode) == (0, 0)
     assert traced.stdout == plain.stdout
     head, marker, tail = traced.stderr.rpartition(TRACE_MARKER)

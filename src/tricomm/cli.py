@@ -26,30 +26,18 @@ from .wreath import class_structure_report, k_wreath, wreath_family
 VERIFY_WREATH_FAMILY = wreath_family(200, 4, 5)
 
 
-def _format_bfile(coeffs) -> str:
-    return "".join(f"{n} {c}\n" for n, c in enumerate(coeffs))
-
-
-def _format_csv(coeffs) -> str:
-    return "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(coeffs))
-
-
-def _format_json(coeffs, method: str, order: int, no_meta: bool) -> str:
+def _render(coeffs, method: str, args) -> str:
+    if args.format == "bfile":
+        return "".join(f"{n} {c}\n" for n, c in enumerate(coeffs))
+    if args.format == "csv":
+        return "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(coeffs))
     import json  # only --format json needs it, so start-up skips it
 
-    if no_meta:
+    if args.no_meta:
         payload: object = list(coeffs)
     else:
-        payload = {"method": method, "order": order, "coefficients": list(coeffs)}
+        payload = {"method": method, "order": args.order, "coefficients": list(coeffs)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _render(coeffs, method: str, order: int, args) -> str:
-    if args.format == "bfile":
-        return _format_bfile(coeffs)
-    if args.format == "csv":
-        return _format_csv(coeffs)
-    return _format_json(coeffs, method, order, args.no_meta)
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -80,12 +68,12 @@ def _sigma_fn(args):
 
 def _cmd_expand(args) -> int:
     coeffs = pipeline.coeffs_product(args.order, sigma_fn=_sigma_fn(args))
-    return _emit(_render(coeffs, "product", args.order, args), args.out)
+    return _emit(_render(coeffs, "product", args), args.out)
 
 
 def _cmd_classes(args) -> int:
     coeffs = pipeline.coeffs_classes(args.order)
-    return _emit(_render(coeffs, "classes", args.order, args), args.out)
+    return _emit(_render(coeffs, "classes", args), args.out)
 
 
 def _cmd_brute(args) -> int:
@@ -94,7 +82,7 @@ def _cmd_brute(args) -> int:
         n = coeffs.index(None)
         print(f"brute: triple count for degree {n} is not divisible by {n}!", file=sys.stderr)
         return 1
-    return _emit(_render(coeffs, "brute", args.order, args), args.out)
+    return _emit(_render(coeffs, "brute", args), args.out)
 
 
 def _cmd_wreath(args) -> int:
@@ -194,7 +182,8 @@ def _cmd_bound_check(args) -> int:
         return 1
     print("d = 1: both sides equal 1 (equality, reported as informational)")
     if report.all_strict_from_two:
-        print(f"sum(a*sigma(a) for a | d) < d^4 holds strictly for 2 <= d <= {args.order}")
+        if args.order >= 2:
+            print(f"sum(a*sigma(a) for a | d) < d^4 holds strictly for 2 <= d <= {args.order}")
         return 0
     first = report.failures[0]
     print(f"bound FAILS at d = {first.d}: {first.lhs} >= {first.rhs}")

@@ -12,7 +12,6 @@ job is to report, including on deliberately corrupted inputs.
 """
 
 import math
-from itertools import accumulate
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -33,29 +32,15 @@ def coeffs_product(order: int, *, sigma_fn: Callable[[int], int] = numtheory.sig
 
     Factors with j > order are 1 modulo u^(order+1), so the product over
     j = 1..order is already exact.  One list is multiplied in place by each
-    factor (1 - u^j)^(-s), s = sigma_fn(j), for j from `order` down to 1.
-    While j*s < order that is s chained prefix sums along each residue
-    class mod j, read and written back once (additions only); otherwise it
-    is one `series.imul_substituted` by the binomial row C(s+k-1, k)
-    u^(j*k).  Largest factor first, the list is zero at 1..j when factor j
-    comes, and the kernel skips that run.  `sigma_fn` is injectable so a
-    corrupted table can drive negative-control tests.
+    factor (1 - u^j)^(-sigma_fn(j)), for j from `order` down to 1, with
+    `series.imul_neg_binomial`.  Largest factor first, the list is zero at
+    1..j when factor j comes, and the kernel skips that run.  `sigma_fn` is
+    injectable so a corrupted table can drive negative-control tests.
     """
     _require_series_order(order)
     out = [1] + [0] * order
     for j in range(order, 0, -1):
-        s = sigma_fn(j)
-        if s < 1:
-            raise ValueError(f"power s must be >= 1, got {s} at j = {j}")
-        if j * s < order:
-            for r in range(j):
-                column = out[r::j]
-                for _ in range(s):
-                    column = accumulate(column)
-                out[r::j] = column
-        else:
-            row = series.neg_binomial_factor(s, order // j)
-            series.imul_substituted(out, row, j)
+        series.imul_neg_binomial(out, sigma_fn(j), j)
     return tuple(out)
 
 

@@ -6,11 +6,12 @@ arithmetic is exact Python integers; truncation order is an explicit
 argument everywhere and operations never silently extend a series.  The
 module holds what routes A and B run: one product kernel, the in-place
 product of a list with a row in u^step (`imul_substituted`, by row updates
-that skip the list's zero run or by one big-integer product), the factor
-(1 - u)^(-s) and the series-order cap.
+that skip the list's zero run or by one big-integer product), the in-place
+product with a factor (1 - u^step)^(-s) (`imul_neg_binomial`) and the
+series-order cap.
 """
 
-from itertools import compress, count
+from itertools import accumulate, compress, count
 
 from .errors import CapExceeded
 
@@ -112,17 +113,25 @@ def _pack(coeffs, width: int) -> int:
     return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
-def neg_binomial_factor(s: int, order: int) -> list[int]:
-    """(1 - u)^(-s) truncated at `order`.
+def imul_neg_binomial(out: list[int], s: int, step: int) -> None:
+    """Multiply the list `out` in place by (1 - u^step)^(-s), s >= 1.
 
-    The u^k coefficient is C(s+k-1, k), built incrementally by exact
-    multiply/divide so no factorials blow up.
+    While step*s < len(out) - 1 that is s chained prefix sums along each
+    residue class of `out` mod step, read and written back once (additions
+    only); otherwise it is one `imul_substituted` by the row C(s+k-1, k),
+    built incrementally by exact multiply/divide so no factorials blow up.
     """
     if s < 1:
-        raise ValueError(f"power s must be >= 1, got {s}")
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
-    out = [1]
-    for k in range(1, order + 1):
-        out.append(out[-1] * (s + k - 1) // k)
-    return out
+        raise ValueError(f"power s must be >= 1, got {s} at step {step}")
+    order = len(out) - 1
+    if step * s < order:
+        for r in range(step):
+            column = out[r::step]
+            for _ in range(s):
+                column = accumulate(column)
+            out[r::step] = column
+        return
+    row = [1]
+    for k in range(1, order // step + 1):
+        row.append(row[-1] * (s + k - 1) // k)
+    imul_substituted(out, row, step)

@@ -253,11 +253,16 @@ def coeffs_product_by_mul(order: int, sigma_fn=numtheory.sigma) -> tuple[int, ..
     with `mul`, the sparse factor first; no in-place update."""
     result = one(order)
     for j in range(1, order + 1):
-        s = sigma_fn(j)
-        factor = [0] * (order + 1)
-        factor[::j] = [math.comb(s + k - 1, k) for k in range(order // j + 1)]
-        result = mul(tuple(factor), result, order)
+        result = mul(neg_binomial(sigma_fn(j), j, order), result, order)
     return result
+
+
+def neg_binomial(s: int, step: int, order: int) -> tuple[int, ...]:
+    """Reference (1 - u^step)^(-s) truncated at `order`: its u^(step*k)
+    coefficient C(s+k-1, k) from `math.comb`, the rest zero."""
+    factor = [0] * (order + 1)
+    factor[::step] = [math.comb(s + k - 1, k) for k in range(order // step + 1)]
+    return tuple(factor)
 
 
 def partition_series(order: int) -> tuple[int, ...]:

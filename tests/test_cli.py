@@ -573,6 +573,17 @@ def test_bound_check_reports_equality_note(capsys):
     assert "2 <= d <= 100" in out
 
 
+@pytest.mark.parametrize(
+    "order, strict_line",
+    [("1", ""), ("2", "sum(a*sigma(a) for a | d) < d^4 holds strictly for 2 <= d <= 2\n")],
+)
+def test_bound_check_small_output_is_pinned(capsys, order, strict_line):
+    # At N = 1 there is no d >= 2 to check, so no strict line is printed.
+    code, out, err = run(capsys, "bound-check", "-N", order)
+    note = "d = 1: both sides equal 1 (equality, reported as informational)\n"
+    assert (code, out, err) == (0, note + strict_line, "")
+
+
 def test_bound_check_reports_first_failure(capsys, monkeypatch):
     # Negative control: a weight raised to d^4 at d = 7 must fail the scan.
     sieve = numtheory.divisor_weights

@@ -4,11 +4,15 @@ at -1, 0, 1, 10^30 and a non-integer, and each removed cap flag at -1 and at
 
 Each row holds one argument at "{}" and the others at cheap values, so every
 run either refuses or finishes well under a second.  Rows run in-process
-through `main()`.
+through `main()`.  The library's own input checks that no CLI argument
+reaches are pinned by their messages (`LIBRARY_ROWS`).
 """
+
+import re
 
 import pytest
 
+from tricomm import numtheory, partitions, permgroup, wreath
 from tricomm.cli import main
 
 HUGE = str(10**30)
@@ -71,3 +75,26 @@ def test_cli_input_exits_with_its_documented_code(argv, code, capsys):
         assert out == "" and err.count("\n") >= 1
     if code == 3:
         assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+# Library calls whose input check no CLI argument reaches, each with the
+# exact message of its ValueError.
+LIBRARY_ROWS = [
+    (numtheory.divisor_weights, (-1,), "divisor_weights requires d_max >= 0, got -1"),
+    (partitions.enumerate_partitions, (-1,), "cannot partition a negative integer: -1"),
+    (permgroup.enumerate_symmetric, (-1,), "degree must be >= 0, got -1"),
+    (permgroup.triples_naive, (-1,), "degree must be >= 0, got -1"),
+    (permgroup.triples_centralizer, (-1,), "degree must be >= 0, got -1"),
+    (wreath.enumerate_class_labels, (0, 1), "modulus must be >= 1, got 0"),
+    (wreath.enumerate_class_labels, (1, -1), "point count must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    LIBRARY_ROWS,
+    ids=[f"{fn.__name__}{args}".replace(",)", ")") for fn, args, _ in LIBRARY_ROWS],
+)
+def test_library_input_check_refuses_with_its_message(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)

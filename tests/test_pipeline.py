@@ -236,7 +236,8 @@ def test_series_order_cap_refuses_before_any_work(monkeypatch, run):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work done before the series-order cap refusal")
 
-    for name in ("accumulate", "k_wreath_series", "triples_centralizer"):
+    monkeypatch.setattr(series, "imul_neg_binomial", must_not_run)
+    for name in ("k_wreath_series", "triples_centralizer"):
         monkeypatch.setattr(pipeline, name, must_not_run)
     with pytest.raises(CapExceeded, match="series-order cap"):
         run(series.SERIES_ORDER_CAP + 1)
@@ -385,7 +386,7 @@ def test_oracles_never_reach_the_code_they_check(monkeypatch):
     monkeypatch.setattr(pipeline, "coeffs_product", forbidden)
     monkeypatch.setattr(wreath, "k_wreath_series", forbidden)
     monkeypatch.setattr(series, "imul_substituted", forbidden)
-    monkeypatch.setattr(series, "neg_binomial_factor", forbidden)
+    monkeypatch.setattr(series, "imul_neg_binomial", forbidden)
     # The naive oracle lists S_n itself, never the centralizer listing that
     # route C and every wreath table come from, and tests each pair itself,
     # never through the commutation kernel of route C and the pair counts.

@@ -117,10 +117,7 @@ def test_mul_zero_tails_and_one():
 
 @pytest.mark.parametrize("order", [0, 1, 7, 24])
 def test_mul_of_neg_binomial_factors_matches_naive(order):
-    factors = [
-        helpers.substitute_power(series.neg_binomial_factor(s, order // j), j, order)
-        for j, s in [(1, 3), (2, 1), (3, 4), (5, 2)]
-    ]
+    factors = [helpers.neg_binomial(s, j, order) for j, s in [(1, 3), (2, 1), (3, 4), (5, 2)]]
     product = helpers.one(order)
     for factor in factors:
         expected = naive_convolution(product, factor, order)
@@ -289,10 +286,18 @@ def test_imul_substituted_rejects_bad_rows():
         series.imul_substituted([1, 2, 3], [1, 1], 0)
 
 
+def library_neg_binomial(s: int, step: int, order: int) -> list[int]:
+    """(1 - u^step)^(-s) truncated at `order`, by the library's in-place
+    product with the constant series 1."""
+    out = list(helpers.one(order))
+    series.imul_neg_binomial(out, s, step)
+    return out
+
+
 def test_neg_binomial_examples():
-    assert series.neg_binomial_factor(1, 4) == [1, 1, 1, 1, 1]
-    assert series.neg_binomial_factor(3, 4) == [1, 3, 6, 10, 15]
-    assert series.neg_binomial_factor(2, 0) == [1]
+    assert library_neg_binomial(1, 1, 4) == [1, 1, 1, 1, 1]
+    assert library_neg_binomial(3, 1, 4) == [1, 3, 6, 10, 15]
+    assert library_neg_binomial(2, 1, 0) == [1]
 
 
 def test_neg_binomial_inverts_binomial_power():
@@ -301,9 +306,33 @@ def test_neg_binomial_inverts_binomial_power():
             if j * s > 20:
                 continue
             order = 20
-            factor = helpers.substitute_power(series.neg_binomial_factor(s, order // j), j, order)
+            factor = tuple(library_neg_binomial(s, j, order))
             poly = helpers.power(one_minus_u_power(j, order), s, order)
             assert helpers.mul(factor, poly, order) == helpers.one(order)
+
+
+@pytest.mark.parametrize("zero_run", [True, False], ids=["zero_run", "dense"])
+@pytest.mark.parametrize("delta", [1, 0, -1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("step, s", [(1, 1), (1, 6), (1, 12), (2, 5), (3, 4), (7, 1), (7, 3)])
+def test_imul_neg_binomial_matches_comb_factor_across_the_crossover(step, s, delta, zero_run):
+    # step*s is order - 1, order or order + 1: prefix sums below the
+    # crossover, the binomial row at and above it.
+    order = step * s + delta
+    out = [1] + [(k * k + 3) % 11 + 1 for k in range(1, order + 1)]
+    if zero_run:
+        # Zero at 1..step, as route A's list is when factor `step` comes.
+        out[1 : step + 1] = [0] * min(step, order)
+    expected = helpers.mul(helpers.neg_binomial(s, step, order), tuple(out), order)
+    series.imul_neg_binomial(out, s, step)
+    assert tuple(out) == expected
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_imul_neg_binomial_refuses_s_below_one_before_writing(s):
+    out = [1, 2, 3, 4, 5, 6, 7]
+    with pytest.raises(ValueError, match=rf"^power s must be >= 1, got {s} at step 3$"):
+        series.imul_neg_binomial(out, s, 3)
+    assert out == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_power_examples():
@@ -338,7 +367,7 @@ def all_fractions(coeffs) -> bool:
 
 def test_log_examples():
     assert helpers.log(helpers.one(3), 3) == (0, 0, 0, 0)
-    mercator = helpers.log(series.neg_binomial_factor(1, 4), 4)
+    mercator = helpers.log(helpers.neg_binomial(1, 1, 4), 4)
     assert mercator == (
         Fraction(0),
         Fraction(1),
@@ -372,7 +401,7 @@ def test_exp_requires_zero_constant_term():
 
 
 def test_exp_log_roundtrip_binomial():
-    f = helpers.substitute_power(series.neg_binomial_factor(3, 5), 2, 10)
+    f = helpers.neg_binomial(3, 2, 10)
     logged = helpers.log(f, 10)
     roundtrip = helpers.exp(logged, 10)
     assert roundtrip == f

@@ -58,7 +58,7 @@ def _sigma_fn(args):
 
     A J outside 1..N would leave route A untouched and the control could not
     fire, so it is refused before any work."""
-    corrupt = getattr(args, "corrupt_sigma", None)
+    corrupt = args.corrupt_sigma
     if corrupt is None:
         return numtheory.sigma
     if not 1 <= corrupt <= args.order:
@@ -106,30 +106,28 @@ def _cmd_wreath(args) -> int:
     return 0
 
 
+def _check(label: str, failure: str | None, holds: str) -> bool:
+    """Print one `verify` line, `label: failure`, or `label: holds` when
+    `failure` is None, and return whether the check held."""
+    print(f"{label}: {holds if failure is None else failure}")
+    return failure is None
+
+
 def _cmd_verify(args) -> int:
-    sigma_fn = _sigma_fn(args)
     naive_max = min(args.brute_max, NAIVE_CEILING)
-    failed = False
+    report = pipeline.verify_identity(args.order, args.brute_max, sigma_fn=_sigma_fn(args))
+    ok = _check(
+        "identity",
+        None if report.overall else f"FIRST DISAGREEMENT at index {report.first_disagreement}",
+        f"product == classes on 0..{args.order}, == brute on 0..{args.brute_max}: ok",
+    )
 
-    report = pipeline.verify_identity(args.order, args.brute_max, sigma_fn=sigma_fn)
-    if report.overall:
-        print(
-            f"identity: product == classes on 0..{args.order}, "
-            f"== brute on 0..{args.brute_max}: ok"
-        )
-    else:
-        print(f"identity: FIRST DISAGREEMENT at index {report.first_disagreement}")
-        failed = True
-
-    if args.order >= 1:
-        log_report = pipeline.check_log(report.product)
-        if log_report.ok:
-            print(f"log coefficients: ok on 1..{args.order}")
-        else:
-            print(f"log coefficients: FIRST MISMATCH at d = {log_report.first_mismatch}")
-            failed = True
-    else:
-        print("log coefficients: skipped (order 0 has no log terms)")
+    mismatch = pipeline.check_log(report.product).first_mismatch if args.order >= 1 else None
+    ok &= _check(
+        "log coefficients",
+        None if mismatch is None else f"FIRST MISMATCH at d = {mismatch}",
+        f"ok on 1..{args.order}" if args.order >= 1 else "skipped (order 0 has no log terms)",
+    )
 
     pair_identity_bad = []
     conjugacy_bad = []
@@ -139,31 +137,30 @@ def _cmd_verify(args) -> int:
             pair_identity_bad.append(f"W({t},{m})")
         if not (rep.counts_agree and rep.invariants_match_orbits and rep.labels_match_orbits):
             conjugacy_bad.append(f"W({t},{m})")
-    if pair_identity_bad:
-        print(f"commuting-pair identity: FAILED on {', '.join(pair_identity_bad)}")
-        failed = True
-    else:
-        print(f"commuting-pair identity: ok on {len(VERIFY_WREATH_FAMILY)} wreath groups")
-    if conjugacy_bad:
-        print(f"wreath conjugacy structure: FAILED on {', '.join(conjugacy_bad)}")
-        failed = True
-    else:
-        print(f"wreath conjugacy structure: ok on {len(VERIFY_WREATH_FAMILY)} wreath groups")
+    family_ok = f"ok on {len(VERIFY_WREATH_FAMILY)} wreath groups"
+    for label, bad in [
+        ("commuting-pair identity", pair_identity_bad),
+        ("wreath conjugacy structure", conjugacy_bad),
+    ]:
+        ok &= _check(label, f"FAILED on {', '.join(bad)}" if bad else None, family_ok)
 
     # An inexact route C quotient (None) disagrees with any honest count.
-    naive_bad = [
-        n
-        for n in range(naive_max + 1)
-        if report.brute[n] is None or triples_naive(n) != report.brute[n] * math.factorial(n)
-    ]
-    if naive_bad:
-        print(f"naive triple count: FAILED at n = {naive_bad[0]}")
-        failed = True
-    else:
-        print(f"naive triple count: ok on 0..{naive_max}")
+    naive_bad = next(
+        (
+            n
+            for n in range(naive_max + 1)
+            if report.brute[n] is None or triples_naive(n) != report.brute[n] * math.factorial(n)
+        ),
+        None,
+    )
+    ok &= _check(
+        "naive triple count",
+        None if naive_bad is None else f"FAILED at n = {naive_bad}",
+        f"ok on 0..{naive_max}",
+    )
 
-    print("FAILED" if failed else "VERIFIED")
-    return 1 if failed else 0
+    print("VERIFIED" if ok else "FAILED")
+    return 0 if ok else 1
 
 
 def _cmd_log_check(args) -> int:

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -432,6 +433,55 @@ def test_verify_names_each_wreath_group_with_a_surplus_commuting_pair(t, m, caps
     )
 
 
+def test_verify_reports_every_failing_check_at_once(capsys, monkeypatch):
+    # All five check lines fail in one run: sigma(7) raised by one, one
+    # surplus commuting pair on W(2,2), one label of W(3,1) listed twice and
+    # one extra pair for the class of cycle type (2,1).  Each line still
+    # names its own first failure, and the verdict is one FAILED.
+    report = cli.class_structure_report
+
+    def one_pair_too_many(t, m):
+        rep = report(t, m)
+        return rep._replace(commuting_pairs=rep.commuting_pairs + 1) if (t, m) == (2, 2) else rep
+
+    labels = wreath.enumerate_class_labels
+
+    def first_repeated(t, m):
+        out = labels(t, m)
+        return out + out[:1] if (t, m) == (3, 1) else out
+
+    monkeypatch.setattr(cli, "class_structure_report", one_pair_too_many)
+    monkeypatch.setattr(wreath, "enumerate_class_labels", first_repeated)
+    add_centralizer_pairs(monkeypatch, (2, 1), lambda table: 1)
+    code, out, err = run(capsys, "verify", "-N", "8", "-K", "8", "--corrupt-sigma", "7")
+    assert (code, err) == (1, "")
+    assert out == (
+        "identity: FIRST DISAGREEMENT at index 3\n"
+        "log coefficients: FIRST MISMATCH at d = 7\n"
+        "commuting-pair identity: FAILED on W(2,2)\n"
+        "wreath conjugacy structure: FAILED on W(3,1)\n"
+        "naive triple count: FAILED at n = 3\n"
+        "FAILED\n"
+    )
+
+
+def test_verify_names_a_failure_at_degree_zero(capsys, monkeypatch):
+    # Index 0 and degree 0 are failures like any other: route C counting two
+    # triples in S_0 disagrees at the first index and with the naive oracle.
+    honest = pipeline.triples_centralizer
+    monkeypatch.setattr(pipeline, "triples_centralizer", lambda n: honest(n) + (n == 0))
+    code, out, err = run(capsys, "verify", "-N", "8", "-K", "4")
+    assert (code, err) == (1, "")
+    assert out == (
+        "identity: FIRST DISAGREEMENT at index 0\n"
+        "log coefficients: ok on 1..8\n"
+        "commuting-pair identity: ok on 17 wreath groups\n"
+        "wreath conjugacy structure: ok on 17 wreath groups\n"
+        "naive triple count: FAILED at n = 0\n"
+        "FAILED\n"
+    )
+
+
 def test_invariants_without_residues_fail_the_structure_checks(capsys, monkeypatch):
     # Negative control for the invariant check: with every residue read as
     # 0, W(2,1)'s two classes share one invariant.  W(1, m) is unaffected.
@@ -693,6 +743,42 @@ def test_float_guard_catches_each_kind():
         assert list(float_uses(ast.parse(source))), source
     integer_only = "from math import factorial\nmath.factorial(5) // math.isqrt(9)"
     assert not list(float_uses(ast.parse(integer_only)))
+
+
+def non_stdlib_imports(tree):
+    """The top-level name of each absolute import in `tree` that is neither
+    a standard-library module nor tricomm itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top != "tricomm" and top not in sys.stdlib_module_names:
+                yield top
+
+
+def test_library_imports_only_the_standard_library():
+    # pyproject.toml declares `dependencies = []`.
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "tricomm").glob("*.py"))
+        for name in non_stdlib_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_stdlib_import_guard_catches_each_kind():
+    for source in ["import numpy", "import sympy.ntheory", "from gmpy2 import mpz"]:
+        assert list(non_stdlib_imports(ast.parse(source))), source
+    allowed = (
+        "import decimal, os.path\nfrom collections import Counter\n"
+        "from . import series\nfrom .errors import CapExceeded\nfrom tricomm import pipeline"
+    )
+    assert not list(non_stdlib_imports(ast.parse(allowed)))
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
